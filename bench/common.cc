@@ -10,6 +10,7 @@
 #include "util/obs/calibrate.h"
 #include "util/obs/export.h"
 #include "util/obs/run_ledger.h"
+#include "util/provenance.h"
 
 namespace sthsl::bench {
 
@@ -27,25 +28,12 @@ int64_t EnvInt(const char* name, int64_t fallback) {
   return std::atoll(env);
 }
 
-std::string GitHashOrUnknown() {
-  std::FILE* pipe = popen("git rev-parse HEAD 2>/dev/null", "r");
-  if (pipe == nullptr) return "unknown";
-  char buf[64] = {0};
-  const size_t n = std::fread(buf, 1, sizeof buf - 1, pipe);
-  pclose(pipe);
-  std::string hash(buf, n);
-  while (!hash.empty() && (hash.back() == '\n' || hash.back() == '\r')) {
-    hash.pop_back();
-  }
-  return hash.empty() ? "unknown" : hash;
-}
-
 // Provenance stamp spliced into every bench JSON document so a committed
 // artifact records where its numbers came from. Purely additive keys:
 // existing consumers that look up their own fields are unaffected.
 std::string ProvenanceJson() {
   std::string json = "\"provenance\":{\"git_hash\":\"";
-  json += obs::JsonEscape(GitHashOrUnknown());
+  json += obs::JsonEscape(SourceGitHash());
   json += "\",\"created_utc\":\"";
   json += obs::JsonEscape(internal_logging::FormatTimestampIso8601());
   json += "\",\"threads\":";

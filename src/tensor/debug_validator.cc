@@ -118,7 +118,7 @@ void ValidateGradAccumulation(const TensorImpl& target, const Tensor& grad) {
       << "debug validator: accumulating a gradient onto a tensor of shape "
       << ShapeToString(target.shape)
       << " that is not marked as requiring grad and has no grad_fn";
-  STHSL_CHECK_EQ(static_cast<int64_t>(target.data.size()), grad.Numel())
+  STHSL_CHECK_EQ(static_cast<int64_t>(target.values().size()), grad.Numel())
       << "debug validator: gradient of shape " << ShapeToString(grad.Shape())
       << " accumulated onto a tensor of shape " << ShapeToString(target.shape);
 }

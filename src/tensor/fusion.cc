@@ -351,8 +351,9 @@ void MaterializePending(TensorImpl& impl) {
 
   const auto& root_data = chain->root.Data();
   const int64_t n = static_cast<int64_t>(root_data.size());
-  impl.data.resize(static_cast<size_t>(n));
-  float* out = impl.data.data();
+  impl.storage = std::make_shared<TensorStorage>(
+      std::vector<float>(static_cast<size_t>(n)));
+  float* out = impl.storage->values.data();
   const float* rv = root_data.data();
   const auto& steps = chain->steps;
 
@@ -383,7 +384,6 @@ void MaterializePending(TensorImpl& impl) {
     const int64_t bytes = 4 * n * (2 + binary_steps);
     const int64_t flops = static_cast<int64_t>(steps.size()) * n;
     const std::string name = FusedOpName(steps.size());
-    obs::OnTensorAlloc(4 * n);
     obs::RecordKernelSample(name.c_str(),
                             obs::TraceNowMicros() - obs_start_us, bytes,
                             flops);

@@ -94,8 +94,8 @@ Tensor TryFuseUnary(FusedOp op, const Tensor& a, float scalar = 0.0f);
 /// take the eager path).
 Tensor TryFuseBinary(FusedOp op, const Tensor& a, const Tensor& b);
 
-/// Evaluates `impl`'s pending chain into impl.data and clears it. No-op if
-/// the impl is not pending. Called by the Tensor accessors.
+/// Evaluates `impl`'s pending chain into a new impl.storage and clears it.
+/// No-op if the impl is not pending. Called by the Tensor accessors.
 void MaterializePending(TensorImpl& impl);
 
 }  // namespace sthsl

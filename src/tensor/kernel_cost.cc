@@ -128,8 +128,10 @@ int64_t BackwardOpFlops(const std::string& op_name,
   return 0;
 }
 
-int64_t BackwardOpBytes(const std::vector<Tensor>& inputs,
+int64_t BackwardOpBytes(const std::string& op_name,
+                        const std::vector<Tensor>& inputs,
                         const std::vector<int64_t>& out_shape) {
+  if (op_name == "reshape") return 0;
   return 4 * (Product(out_shape) + 2 * SumInputNumels(inputs));
 }
 

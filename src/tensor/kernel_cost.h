@@ -20,7 +20,8 @@
 //                                          per output column; nnz is the
 //                                          length of the values input)
 //   gather / sparse_values                0 (pure data movement)
-//   reshape/permute/narrow/cat/index_select        0 (pure data movement)
+//   reshape/permute/narrow/cat/index_select/broadcast_to
+//                                         0 (pure data movement)
 // Backward models (assume every input needs its gradient):
 //   matmul        4·batch·m·k·n           (dA = dC·Bᵀ plus dB = Aᵀ·dC)
 //   conv2d        2·fwd  (+ batch·cout·oh·ow bias-grad adds when biased)
@@ -54,8 +55,10 @@ int64_t BackwardOpFlops(const std::string& op_name,
 
 /// Modeled bytes moved by one backward call: reads the output gradient,
 /// reads every input, writes one gradient per input —
-/// 4 · (numel(out) + 2 · Σ numel(input)).
-int64_t BackwardOpBytes(const std::vector<Tensor>& inputs,
+/// 4 · (numel(out) + 2 · Σ numel(input)). Zero for `reshape`, whose
+/// forward and backward are both zero-copy views.
+int64_t BackwardOpBytes(const std::string& op_name,
+                        const std::vector<Tensor>& inputs,
                         const std::vector<int64_t>& out_shape);
 
 }  // namespace sthsl

@@ -9,6 +9,7 @@
 #include "simd/simd.h"
 #include "tensor/debug_validator.h"
 #include "tensor/fusion.h"
+#include "tensor/strided.h"
 #include "util/check.h"
 
 namespace sthsl {
@@ -62,61 +63,47 @@ Tensor ReduceGradTo(const Tensor& grad, const std::vector<int64_t>& target) {
 }
 
 // Generic broadcasting binary op. `fwd` computes the output value; `dx`/`dy`
-// compute the local partial derivatives given (x, y).
+// compute the local partial derivatives given (x, y). Forward and backward
+// walk the output in strided runs (tensor/strided.h); same-shape operands
+// coalesce into one contiguous run per chunk.
 template <typename Fwd, typename Dx, typename Dy>
 Tensor BroadcastBinary(const char* name, const Tensor& a, const Tensor& b,
                        Fwd fwd, Dx dx, Dy dy) {
   const auto out_shape = BroadcastShapes(a.Shape(), b.Shape());
-  const int64_t n = NumelOf(out_shape);
+  const StridedLayout<2> layout(
+      out_shape, {BroadcastStrides(a.Shape(), out_shape),
+                  BroadcastStrides(b.Shape(), out_shape)});
+  const int64_t sa = layout.InnerStride(0);
+  const int64_t sb = layout.InnerStride(1);
+  const int64_t n = layout.Numel();
   std::vector<float> out(static_cast<size_t>(n));
-  const auto& av = a.Data();
-  const auto& bv = b.Data();
-
-  if (a.Shape() == b.Shape()) {
-    exec::ParallelFor(
-        0, n, kElemGrain,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) out[i] = fwd(av[i], bv[i]);
-        },
-        "exec/elementwise");
-  } else {
-    const auto sa = BroadcastStrides(a.Shape(), out_shape);
-    const auto sb = BroadcastStrides(b.Shape(), out_shape);
-    const auto so = StridesOf(out_shape);
-    const size_t rank = out_shape.size();
-    exec::ParallelFor(
-        0, n, kElemGrain,
-        [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) {
-            int64_t rem = i;
-            int64_t ia = 0;
-            int64_t ib = 0;
-            for (size_t d = 0; d < rank; ++d) {
-              const int64_t coord = rem / so[d];
-              rem -= coord * so[d];
-              ia += coord * sa[d];
-              ib += coord * sb[d];
-            }
-            out[i] =
-                fwd(av[static_cast<size_t>(ia)], bv[static_cast<size_t>(ib)]);
-          }
-        },
-        "exec/elementwise");
-  }
+  const float* av = a.Data().data();
+  const float* bv = b.Data().data();
+  exec::ParallelFor(
+      0, n, kElemGrain,
+      [&](int64_t lo, int64_t hi) {
+        layout.ForEachRun(lo, hi, [&](int64_t i, int64_t len, const auto& off) {
+          float* o = out.data() + i;
+          ForEachStridedPair(av + off[0], sa, bv + off[1], sb, len,
+                             [&](int64_t j, float x, float y) {
+                               o[j] = fwd(x, y);
+                             });
+        });
+      },
+      "exec/elementwise");
 
   Tensor a_captured = a;
   Tensor b_captured = b;
   return MakeResult(
       out_shape, std::move(out), name, {a, b},
-      [a_captured, b_captured, dx, dy](const Tensor& g) -> std::vector<Tensor> {
-        const auto out_shape =
-            BroadcastShapes(a_captured.Shape(), b_captured.Shape());
-        const int64_t n = NumelOf(out_shape);
-        const auto& gv = g.Data();
-        const auto& av = a_captured.Data();
-        const auto& bv = b_captured.Data();
-        Tensor ga;
-        Tensor gb;
+      [a_captured, b_captured, layout, out_shape, dx,
+       dy](const Tensor& g) -> std::vector<Tensor> {
+        const int64_t n = layout.Numel();
+        const int64_t sa = layout.InnerStride(0);
+        const int64_t sb = layout.InnerStride(1);
+        const float* gv = g.Data().data();
+        const float* av = a_captured.Data().data();
+        const float* bv = b_captured.Data().data();
         const bool need_a = NeedsGrad(a_captured);
         const bool need_b = NeedsGrad(b_captured);
 
@@ -125,42 +112,24 @@ Tensor BroadcastBinary(const char* name, const Tensor& a, const Tensor& b,
         if (need_a) ga_full.resize(static_cast<size_t>(n));
         if (need_b) gb_full.resize(static_cast<size_t>(n));
 
-        if (a_captured.Shape() == b_captured.Shape()) {
-          exec::ParallelFor(
-              0, n, kElemGrain,
-              [&](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) {
-                  if (need_a) ga_full[i] = gv[i] * dx(av[i], bv[i]);
-                  if (need_b) gb_full[i] = gv[i] * dy(av[i], bv[i]);
-                }
-              },
-              "exec/elementwise");
-        } else {
-          const auto sa = BroadcastStrides(a_captured.Shape(), out_shape);
-          const auto sb = BroadcastStrides(b_captured.Shape(), out_shape);
-          const auto so = StridesOf(out_shape);
-          const size_t rank = out_shape.size();
-          exec::ParallelFor(
-              0, n, kElemGrain,
-              [&](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) {
-                  int64_t rem = i;
-                  int64_t ia = 0;
-                  int64_t ib = 0;
-                  for (size_t d = 0; d < rank; ++d) {
-                    const int64_t coord = rem / so[d];
-                    rem -= coord * so[d];
-                    ia += coord * sa[d];
-                    ib += coord * sb[d];
-                  }
-                  const float x = av[static_cast<size_t>(ia)];
-                  const float y = bv[static_cast<size_t>(ib)];
-                  if (need_a) ga_full[i] = gv[i] * dx(x, y);
-                  if (need_b) gb_full[i] = gv[i] * dy(x, y);
-                }
-              },
-              "exec/elementwise");
-        }
+        exec::ParallelFor(
+            0, n, kElemGrain,
+            [&](int64_t lo, int64_t hi) {
+              layout.ForEachRun(
+                  lo, hi, [&](int64_t i, int64_t len, const auto& off) {
+                    const float* gi = gv + i;
+                    float* gai = need_a ? ga_full.data() + i : nullptr;
+                    float* gbi = need_b ? gb_full.data() + i : nullptr;
+                    ForEachStridedPair(av + off[0], sa, bv + off[1], sb, len,
+                                       [&](int64_t j, float x, float y) {
+                                         if (gai) gai[j] = gi[j] * dx(x, y);
+                                         if (gbi) gbi[j] = gi[j] * dy(x, y);
+                                       });
+                  });
+            },
+            "exec/elementwise");
+        Tensor ga;
+        Tensor gb;
         if (need_a) {
           ga = ReduceGradTo(Tensor::FromVector(out_shape, std::move(ga_full)),
                             a_captured.Shape());
@@ -171,6 +140,23 @@ Tensor BroadcastBinary(const char* name, const Tensor& a, const Tensor& b,
         }
         return {ga, gb};
       });
+}
+
+// Materializes the row-major walk of `layout` over `src`: a permuted or
+// broadcast copy, one strided run at a time.
+std::vector<float> CopyLayout(const StridedLayout<1>& layout, const float* src,
+                              const char* tag) {
+  std::vector<float> out(static_cast<size_t>(layout.Numel()));
+  const int64_t stride = layout.InnerStride(0);
+  exec::ParallelFor(
+      0, layout.Numel(), kElemGrain,
+      [&](int64_t lo, int64_t hi) {
+        layout.ForEachRun(lo, hi, [&](int64_t i, int64_t len, const auto& off) {
+          CopyStridedRun(src + off[0], stride, len, out.data() + i);
+        });
+      },
+      tag);
+  return out;
 }
 
 // Generic elementwise unary op with local derivative `df(x, fx)`.
@@ -426,57 +412,59 @@ Tensor Sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
     }
   }
 
-  const auto in_strides = StridesOf(shape);
-  const auto keep_strides = StridesOf(keep_shape);
-  const int64_t out_n = NumelOf(keep_shape);
-  std::vector<float> out(static_cast<size_t>(out_n), 0.0f);
-  const float* av = a.Data().data();
-
   // Gather formulation: each output element owns its accumulator and sums
   // its reduced coordinates in ascending input order — the exact addition
   // sequence of a serial scatter pass — so chunking the *output* range
-  // keeps the result bitwise-identical at any thread count.
-  std::vector<int64_t> red_stride;
-  std::vector<int64_t> red_extent;
-  int64_t red_count = 1;
-  for (int64_t d = 0; d < rank; ++d) {
-    if (reduce[static_cast<size_t>(d)]) {
-      red_stride.push_back(in_strides[static_cast<size_t>(d)]);
-      red_extent.push_back(shape[static_cast<size_t>(d)]);
-      red_count *= shape[static_cast<size_t>(d)];
-    }
+  // keeps the result bitwise-identical at any thread count. Outputs walk
+  // keep_shape over the input strides (reduced dims have extent 1 there and
+  // drop out); each output's terms walk red_extents, where the kept dims
+  // have extent 1.
+  const auto in_strides = StridesOf(shape);
+  std::vector<int64_t> red_extents(shape.size(), 1);
+  for (size_t i = 0; i < shape.size(); ++i) {
+    if (reduce[i]) red_extents[i] = shape[i];
   }
-  const size_t red_rank = red_stride.size();
+  const StridedLayout<1> keep_layout(keep_shape, {in_strides});
+  const StridedLayout<1> red_layout(red_extents, {in_strides});
+  const int64_t ks = keep_layout.InnerStride(0);
+  const int64_t rs = red_layout.InnerStride(0);
+  const int64_t red_count = red_layout.Numel();
+  const int64_t out_n = NumelOf(keep_shape);
+  std::vector<float> out(static_cast<size_t>(out_n), 0.0f);
+  const float* av = a.Data().data();
 
   exec::ParallelFor(
       0, out_n,
       std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, red_count)),
       [&](int64_t lo, int64_t hi) {
-        std::vector<int64_t> coord(red_rank, 0);
-        for (int64_t oi = lo; oi < hi; ++oi) {
-          // Base input offset of this output element: reduced dims have
-          // keep extent 1, so they decompose to coordinate 0 here.
-          int64_t rem = oi;
-          int64_t base = 0;
-          for (int64_t d = 0; d < rank; ++d) {
-            const int64_t c = rem / keep_strides[static_cast<size_t>(d)];
-            rem -= c * keep_strides[static_cast<size_t>(d)];
-            base += c * in_strides[static_cast<size_t>(d)];
+        keep_layout.ForEachRun(lo, hi, [&](int64_t oi, int64_t len,
+                                           const auto& base) {
+          float* o = out.data() + oi;
+          const float* a0 = av + base[0];
+          if (ks == 1) {
+            // The run's outputs are adjacent in the input: add whole input
+            // rows into them, one reduced position at a time. Every output
+            // still receives its terms in ascending input order.
+            red_layout.ForEachRun(
+                0, red_count, [&](int64_t, int64_t rlen, const auto& roff) {
+                  for (int64_t r = 0; r < rlen; ++r) {
+                    const float* row = a0 + roff[0] + r * rs;
+                    for (int64_t j = 0; j < len; ++j) o[j] += row[j];
+                  }
+                });
+            return;
           }
-          float acc = 0.0f;
-          std::fill(coord.begin(), coord.end(), 0);
-          int64_t off = 0;
-          for (int64_t r = 0; r < red_count; ++r) {
-            acc += av[base + off];
-            for (size_t d = red_rank; d-- > 0;) {
-              off += red_stride[d];
-              if (++coord[d] < red_extent[d]) break;
-              off -= red_stride[d] * red_extent[d];
-              coord[d] = 0;
-            }
+          for (int64_t j = 0; j < len; ++j) {
+            const float* aj = a0 + j * ks;
+            float acc = 0.0f;
+            red_layout.ForEachRun(
+                0, red_count, [&](int64_t, int64_t rlen, const auto& roff) {
+                  const float* terms = aj + roff[0];
+                  for (int64_t r = 0; r < rlen; ++r) acc += terms[r * rs];
+                });
+            o[j] = acc;
           }
-          out[static_cast<size_t>(oi)] = acc;
-        }
+        });
       },
       "exec/sum_dims");
 
@@ -564,12 +552,10 @@ Tensor Reshape(const Tensor& a, std::vector<int64_t> shape) {
   }
   STHSL_CHECK_EQ(NumelOf(shape), a.Numel()) << "Reshape numel mismatch";
 
-  Tensor a_captured = a;
-  std::vector<float> data = a.Data();
-  return MakeResult(
-      std::move(shape), std::move(data), "reshape", {a},
-      [a_captured](const Tensor& g) -> std::vector<Tensor> {
-        return {Reshape(g, a_captured.Shape())};
+  return MakeView(
+      std::move(shape), a, "reshape",
+      [a_shape = a.Shape()](const Tensor& g) -> std::vector<Tensor> {
+        return {Reshape(g, a_shape)};
       });
 }
 
@@ -590,26 +576,16 @@ Tensor Permute(const Tensor& a, std::vector<int64_t> dims) {
     out_shape[i] = shape[static_cast<size_t>(d)];
   }
 
+  // Walk the output in order; the source advances by the input stride of
+  // the dim each output dim came from.
   const auto in_strides = StridesOf(shape);
-  const auto out_strides = StridesOf(out_shape);
-  const int64_t n = a.Numel();
-  std::vector<float> out(static_cast<size_t>(n));
-  const auto& av = a.Data();
-  exec::ParallelFor(
-      0, n, kElemGrain,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          int64_t rem = i;
-          int64_t src = 0;
-          for (size_t d = 0; d < rank; ++d) {
-            const int64_t coord = rem / out_strides[d];
-            rem -= coord * out_strides[d];
-            src += coord * in_strides[static_cast<size_t>(dims[d])];
-          }
-          out[static_cast<size_t>(i)] = av[static_cast<size_t>(src)];
-        }
-      },
-      "exec/permute");
+  std::vector<int64_t> src_strides(rank);
+  for (size_t i = 0; i < rank; ++i) {
+    src_strides[i] = in_strides[static_cast<size_t>(dims[i])];
+  }
+  std::vector<float> out =
+      CopyLayout(StridedLayout<1>(out_shape, {src_strides}), a.Data().data(),
+                 "exec/permute");
 
   std::vector<int64_t> inverse(rank);
   for (size_t i = 0; i < rank; ++i) {
@@ -819,9 +795,16 @@ Tensor IndexSelect(const Tensor& a, int64_t dim,
 
 Tensor BroadcastTo(const Tensor& a, std::vector<int64_t> shape) {
   if (a.Shape() == shape) return a;
-  // Multiplying by ones of the target shape routes through the broadcasting
-  // machinery (including gradient reduction on the way back).
-  return Mul(a, Tensor::Ones(shape));
+  STHSL_CHECK(BroadcastShapes(a.Shape(), shape) == shape)
+      << "BroadcastTo: shape does not broadcast to the target";
+  std::vector<float> out =
+      CopyLayout(StridedLayout<1>(shape, {BroadcastStrides(a.Shape(), shape)}),
+                 a.Data().data(), "exec/broadcast_to");
+  return MakeResult(
+      std::move(shape), std::move(out), "broadcast_to", {a},
+      [a_shape = a.Shape()](const Tensor& g) -> std::vector<Tensor> {
+        return {ReduceGradTo(g, a_shape)};
+      });
 }
 
 // -- Softmax --------------------------------------------------------------------

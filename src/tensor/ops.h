@@ -90,11 +90,12 @@ Tensor MaxValues(const Tensor& a, int64_t dim, bool keepdim = true);
 // ---------------------------------------------------------------------------
 
 /// Reinterprets the element order with a new shape. At most one dim may be -1
-/// (inferred).
+/// (inferred). Zero-copy: the result is a view sharing `a`'s buffer.
 Tensor Reshape(const Tensor& a, std::vector<int64_t> shape);
 /// Reorders axes; materializes a contiguous copy.
 Tensor Permute(const Tensor& a, std::vector<int64_t> dims);
 Tensor Transpose(const Tensor& a, int64_t dim0, int64_t dim1);
+/// Inserts / removes a size-1 dim; zero-copy views like Reshape.
 Tensor Unsqueeze(const Tensor& a, int64_t dim);
 Tensor Squeeze(const Tensor& a, int64_t dim);
 /// Contiguous slab `[start, start+length)` along `dim`.

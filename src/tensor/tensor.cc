@@ -54,34 +54,34 @@ std::vector<int64_t> BroadcastShapes(const std::vector<int64_t>& a,
     STHSL_CHECK(sa == sb || sa == 1 || sb == 1)
         << "incompatible broadcast: dim " << i << " sizes " << sa << " vs "
         << sb;
-    out[i] = std::max(sa, sb);
+    // A size-1 dim takes the other's extent, even an empty one.
+    out[i] = sa == 1 ? sb : sa;
   }
   return out;
 }
 
-TensorImpl::~TensorImpl() {
+TensorStorage::TensorStorage(std::vector<float> v) : values(std::move(v)) {
   if (obs::TraceEnabled()) {
-    obs::OnTensorFree(static_cast<int64_t>(data.size()) * 4);
+    obs::OnTensorAlloc(static_cast<int64_t>(values.size()) * 4);
+  }
+}
+
+TensorStorage::~TensorStorage() {
+  if (obs::TraceEnabled()) {
+    obs::OnTensorFree(static_cast<int64_t>(values.size()) * 4);
   }
 }
 
 // -- Factories ----------------------------------------------------------------
 
 Tensor Tensor::FromImpl(std::shared_ptr<TensorImpl> impl) {
-  if (obs::TraceEnabled() && impl != nullptr) {
-    obs::OnTensorAlloc(static_cast<int64_t>(impl->data.size()) * 4);
-  }
   Tensor t;
   t.impl_ = std::move(impl);
   return t;
 }
 
 Tensor Tensor::Zeros(std::vector<int64_t> shape, bool requires_grad) {
-  auto impl = std::make_shared<TensorImpl>();
-  impl->data.assign(static_cast<size_t>(NumelOf(shape)), 0.0f);
-  impl->shape = std::move(shape);
-  impl->requires_grad = requires_grad;
-  return FromImpl(std::move(impl));
+  return Full(std::move(shape), 0.0f, requires_grad);
 }
 
 Tensor Tensor::Ones(std::vector<int64_t> shape, bool requires_grad) {
@@ -90,11 +90,8 @@ Tensor Tensor::Ones(std::vector<int64_t> shape, bool requires_grad) {
 
 Tensor Tensor::Full(std::vector<int64_t> shape, float value,
                     bool requires_grad) {
-  auto impl = std::make_shared<TensorImpl>();
-  impl->data.assign(static_cast<size_t>(NumelOf(shape)), value);
-  impl->shape = std::move(shape);
-  impl->requires_grad = requires_grad;
-  return FromImpl(std::move(impl));
+  std::vector<float> values(static_cast<size_t>(NumelOf(shape)), value);
+  return FromVector(std::move(shape), std::move(values), requires_grad);
 }
 
 Tensor Tensor::FromVector(std::vector<int64_t> shape,
@@ -103,7 +100,7 @@ Tensor Tensor::FromVector(std::vector<int64_t> shape,
       << "FromVector size mismatch";
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
-  impl->data = std::move(values);
+  impl->storage = std::make_shared<TensorStorage>(std::move(values));
   impl->requires_grad = requires_grad;
   return FromImpl(std::move(impl));
 }
@@ -171,13 +168,16 @@ Tensor& Tensor::SetRequiresGrad(bool value) {
 const std::vector<float>& Tensor::Data() const {
   STHSL_CHECK(Defined());
   MaterializePending(*impl_);
-  return impl_->data;
+  return impl_->values();
 }
 
 std::vector<float>& Tensor::MutableData() {
   STHSL_CHECK(Defined());
   MaterializePending(*impl_);
-  return impl_->data;
+  if (impl_->storage.use_count() > 1) {
+    impl_->storage = std::make_shared<TensorStorage>(impl_->values());
+  }
+  return impl_->storage->values;
 }
 
 const std::vector<float>& Tensor::Grad() const {
@@ -188,7 +188,7 @@ const std::vector<float>& Tensor::Grad() const {
 std::vector<float>& Tensor::MutableGrad() {
   STHSL_CHECK(Defined());
   MaterializePending(*impl_);
-  if (impl_->grad.empty()) impl_->grad.assign(impl_->data.size(), 0.0f);
+  if (impl_->grad.empty()) impl_->grad.assign(impl_->values().size(), 0.0f);
   return impl_->grad;
 }
 
@@ -200,16 +200,16 @@ void Tensor::ZeroGrad() {
 float Tensor::Item() const {
   STHSL_CHECK_EQ(Numel(), 1) << "Item() requires a 1-element tensor";
   MaterializePending(*impl_);
-  return impl_->data[0];
+  return impl_->values()[0];
 }
 
 float Tensor::At(int64_t flat_index) const {
   STHSL_CHECK(Defined());
   MaterializePending(*impl_);
   STHSL_CHECK(flat_index >= 0 &&
-              flat_index < static_cast<int64_t>(impl_->data.size()))
+              flat_index < static_cast<int64_t>(impl_->values().size()))
       << "flat index out of range: " << flat_index;
-  return impl_->data[static_cast<size_t>(flat_index)];
+  return impl_->values()[static_cast<size_t>(flat_index)];
 }
 
 float Tensor::At(const std::vector<int64_t>& index) const {
@@ -223,7 +223,7 @@ float Tensor::At(const std::vector<int64_t>& index) const {
         << "index out of range at dim " << i;
     flat += index[i] * strides[i];
   }
-  return impl_->data[static_cast<size_t>(flat)];
+  return impl_->values()[static_cast<size_t>(flat)];
 }
 
 std::shared_ptr<GradNode> Tensor::GradFn() const {
@@ -232,12 +232,8 @@ std::shared_ptr<GradNode> Tensor::GradFn() const {
 
 Tensor Tensor::Detach() const {
   STHSL_CHECK(Defined());
-  MaterializePending(*impl_);
-  auto impl = std::make_shared<TensorImpl>();
-  impl->shape = impl_->shape;
-  impl->data = impl_->data;  // copy values; no autograd linkage
-  impl->requires_grad = false;
-  return FromImpl(std::move(impl));
+  // Copies the values: no autograd linkage and no shared buffer.
+  return FromVector(impl_->shape, Data());
 }
 
 Tensor Tensor::Clone() const { return Detach(); }
@@ -250,9 +246,10 @@ void AccumulateGrad(const std::shared_ptr<TensorImpl>& impl,
                     const Tensor& grad) {
   MaterializePending(*impl);
   if (DebugChecksEnabled()) ValidateGradAccumulation(*impl, grad);
-  STHSL_CHECK_EQ(static_cast<int64_t>(impl->data.size()), grad.Numel())
+  const size_t n = impl->values().size();
+  STHSL_CHECK_EQ(static_cast<int64_t>(n), grad.Numel())
       << "gradient shape mismatch in accumulation";
-  if (impl->grad.empty()) impl->grad.assign(impl->data.size(), 0.0f);
+  if (impl->grad.empty()) impl->grad.assign(n, 0.0f);
   const auto& g = grad.Data();
   for (size_t i = 0; i < g.size(); ++i) impl->grad[i] += g[i];
 }
@@ -327,7 +324,7 @@ void Tensor::Backward(const Tensor& seed) const {
     }
     STHSL_CHECK(!node->grad.empty())
         << "node in topo order missing accumulated gradient: " << fn->op_name;
-    Tensor grad_out = Tensor::FromVector(node->shape, node->grad);
+    Tensor grad_out = Tensor::FromVector(node->shape, std::move(node->grad));
     const bool obs_on = obs::TraceEnabled();
     const double obs_start_us = obs_on ? obs::TraceNowMicros() : 0.0;
     std::vector<Tensor> input_grads = fn->backward(grad_out);
@@ -335,7 +332,8 @@ void Tensor::Backward(const Tensor& seed) const {
       obs::RecordBackwardOp(fn->op_name, obs_start_us,
                             BackwardOpFlops(fn->op_name, fn->inputs,
                                             node->shape),
-                            BackwardOpBytes(fn->inputs, node->shape));
+                            BackwardOpBytes(fn->op_name, fn->inputs,
+                                            node->shape));
     }
     fn->backward_consumed = true;
     STHSL_CHECK_EQ(input_grads.size(), fn->inputs.size())
@@ -373,15 +371,45 @@ std::string Tensor::ToString() const {
     os << impl_->shape[i];
   }
   os << "], data=[";
-  const size_t preview = std::min<size_t>(impl_->data.size(), 8);
+  const auto& values = impl_->values();
+  const size_t preview = std::min<size_t>(values.size(), 8);
   for (size_t i = 0; i < preview; ++i) {
     if (i > 0) os << ", ";
-    os << impl_->data[i];
+    os << values[i];
   }
-  if (impl_->data.size() > preview) os << ", ...";
+  if (values.size() > preview) os << ", ...";
   os << "])";
   return os.str();
 }
+
+namespace {
+
+// Wires the autograd node of an op result: records `backward` when gradient
+// recording is on and any input requires grad.
+Tensor FinishResult(
+    std::shared_ptr<TensorImpl> impl, std::string op_name,
+    std::vector<Tensor> inputs,
+    std::function<std::vector<Tensor>(const Tensor&)> backward) {
+  bool any_requires = false;
+  for (const auto& input : inputs) {
+    if (input.Defined() &&
+        (input.RequiresGrad() || input.GradFn() != nullptr)) {
+      any_requires = true;
+      break;
+    }
+  }
+  if (GradRecordingEnabled() && any_requires) {
+    auto node = std::make_shared<GradNode>();
+    node->op_name = std::move(op_name);
+    node->inputs = std::move(inputs);
+    node->backward = std::move(backward);
+    impl->grad_fn = std::move(node);
+    impl->requires_grad = true;
+  }
+  return Tensor::FromImpl(std::move(impl));
+}
+
+}  // namespace
 
 Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,
                   std::string op_name, std::vector<Tensor> inputs,
@@ -404,25 +432,28 @@ Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,
   }
   auto impl = std::make_shared<TensorImpl>();
   impl->shape = std::move(shape);
-  impl->data = std::move(data);
+  impl->storage = std::make_shared<TensorStorage>(std::move(data));
+  return FinishResult(std::move(impl), std::move(op_name), std::move(inputs),
+                      std::move(backward));
+}
 
-  bool any_requires = false;
-  for (const auto& input : inputs) {
-    if (input.Defined() &&
-        (input.RequiresGrad() || input.GradFn() != nullptr)) {
-      any_requires = true;
-      break;
-    }
+Tensor MakeView(std::vector<int64_t> shape, const Tensor& source,
+                std::string op_name,
+                std::function<std::vector<Tensor>(const Tensor&)> backward) {
+  const auto& data = source.Data();
+  if (obs::TraceEnabled() && !obs::InBackwardPass()) {
+    obs::RecordForwardOp(op_name, 0);
   }
-  if (GradRecordingEnabled() && any_requires) {
-    auto node = std::make_shared<GradNode>();
-    node->op_name = std::move(op_name);
-    node->inputs = std::move(inputs);
-    node->backward = std::move(backward);
-    impl->grad_fn = std::move(node);
-    impl->requires_grad = true;
+  STHSL_CHECK_EQ(NumelOf(shape), static_cast<int64_t>(data.size()))
+      << "MakeView size mismatch in op " << op_name;
+  if (DebugChecksEnabled()) {
+    ValidateForwardResult(op_name, shape, data, {source});
   }
-  return Tensor::FromImpl(std::move(impl));
+  auto impl = std::make_shared<TensorImpl>();
+  impl->shape = std::move(shape);
+  impl->storage = source.Impl()->storage;
+  return FinishResult(std::move(impl), std::move(op_name), {source},
+                      std::move(backward));
 }
 
 }  // namespace sthsl

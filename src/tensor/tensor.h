@@ -15,14 +15,33 @@ class Tensor;
 struct GradNode;
 struct FusedChain;
 
-/// Shared state of a Tensor: a contiguous row-major float32 buffer plus the
-/// autograd bookkeeping. Copies of a Tensor alias the same impl.
+/// Reference-counted float32 value buffer. Reshape views share their
+/// source's storage, so the observability layer's tensor-memory accounting
+/// lives here: a buffer is counted once however many tensors alias it.
+struct TensorStorage {
+  /// Reports the buffer to the accounting (no-op when tracing is disabled).
+  explicit TensorStorage(std::vector<float> v);
+  ~TensorStorage();
+
+  TensorStorage(const TensorStorage&) = delete;
+  TensorStorage& operator=(const TensorStorage&) = delete;
+
+  std::vector<float> values;
+};
+
+/// Shared state of a Tensor: a shape over a contiguous row-major value
+/// buffer, plus the autograd bookkeeping. Copies of a Tensor alias the same
+/// impl. There are no strides or offsets: a view (Reshape, Unsqueeze,
+/// Squeeze) is a separate impl with its own shape, gradient and grad_fn over
+/// the same `storage`.
 struct TensorImpl {
   std::vector<int64_t> shape;
-  std::vector<float> data;
 
-  /// Non-null for a *pending* tensor: `data` is empty and the values are an
-  /// unevaluated elementwise chain (see tensor/fusion.h). Every value
+  /// Row-major values, possibly shared with views. Null while pending.
+  std::shared_ptr<TensorStorage> storage;
+
+  /// Non-null for a *pending* tensor: `storage` is unset and the values are
+  /// an unevaluated elementwise chain (see tensor/fusion.h). Every value
   /// accessor materializes the chain first, so pending state never escapes
   /// this layer.
   std::shared_ptr<FusedChain> pending;
@@ -31,15 +50,15 @@ struct TensorImpl {
   /// produced from such a leaf while gradient recording is enabled.
   bool requires_grad = false;
 
-  /// Gradient buffer, same shape as `data`; filled by Tensor::Backward().
+  /// Gradient buffer, same shape as the values; filled by Tensor::Backward().
+  /// Never shared, not even between a view and its source.
   std::vector<float> grad;
 
   /// Non-null for non-leaf tensors: records how to backpropagate.
   std::shared_ptr<GradNode> grad_fn;
 
-  /// Reports the value buffer to the observability layer's tensor-memory
-  /// accounting (no-op when tracing is disabled).
-  ~TensorImpl();
+  /// Value buffer of a materialized impl.
+  const std::vector<float>& values() const { return storage->values; }
 };
 
 /// One node of the reverse-mode autograd tape. `backward` receives the
@@ -77,9 +96,11 @@ bool GradRecordingEnabled();
 
 /// N-dimensional float32 tensor with reverse-mode automatic differentiation.
 ///
-/// Data is always contiguous row-major; shape-changing views (Reshape) are
-/// cheap, axis reorderings (Permute/Transpose) materialize a copy. A Tensor
-/// is a cheap shared handle: copying it aliases storage and autograd state.
+/// Data is always contiguous row-major. Shape-changing views (Reshape,
+/// Unsqueeze, Squeeze) share the source's buffer without copying; axis
+/// reorderings (Permute/Transpose), slices and concatenations materialize a
+/// copy. A Tensor is a cheap shared handle: copying it aliases storage and
+/// autograd state.
 class Tensor {
  public:
   /// Empty (null) tensor; Defined() is false.
@@ -121,6 +142,9 @@ class Tensor {
 
   /// Direct access to the contiguous value buffer.
   const std::vector<float>& Data() const;
+  /// Writable value buffer. Copy-on-write: a buffer shared with a view is
+  /// first detached into a private copy, so an in-place write never shows
+  /// through another tensor and never alters one.
   std::vector<float>& MutableData();
   /// Gradient buffer (empty until Backward has touched this tensor).
   const std::vector<float>& Grad() const;
@@ -173,6 +197,13 @@ std::vector<int64_t> BroadcastShapes(const std::vector<int64_t>& a,
 Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,
                   std::string op_name, std::vector<Tensor> inputs,
                   std::function<std::vector<Tensor>(const Tensor&)> backward);
+
+/// Helper for view ops: like MakeResult, but the result shares `source`'s
+/// value buffer (materializing a pending source first) instead of owning
+/// new data. The profiler records the op with zero bytes moved.
+Tensor MakeView(std::vector<int64_t> shape, const Tensor& source,
+                std::string op_name,
+                std::function<std::vector<Tensor>(const Tensor&)> backward);
 
 }  // namespace sthsl
 

@@ -188,9 +188,10 @@ void EndParallelRegion(const ParallelRegionToken& token, double busy_us = 0.0,
 
 // -- Tensor memory accounting -------------------------------------------------
 
-/// Called by Tensor::FromImpl / ~TensorImpl when tracing is enabled; tracks
-/// live float-buffer bytes and their high-water mark. Gradient buffers are
-/// not counted (the estimate is the value-buffer footprint).
+/// Called by the TensorStorage constructor / destructor when tracing is
+/// enabled; tracks live float-buffer bytes and their high-water mark. A
+/// buffer shared by views counts once; gradient buffers are not counted
+/// (the estimate is the value-buffer footprint).
 void OnTensorAlloc(int64_t bytes);
 void OnTensorFree(int64_t bytes);
 int64_t LiveTensorBytes();

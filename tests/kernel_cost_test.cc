@@ -117,7 +117,9 @@ TEST(KernelCostTest, BackwardBytesModel) {
                                 Tensor::Randn({8, 3}, rng)};
   // Reads the output gradient (12 floats), reads both inputs and writes one
   // gradient per input (2 * (32 + 24) floats): 4 * (12 + 2 * 56) bytes.
-  EXPECT_EQ(BackwardOpBytes(inputs, {4, 3}), 4 * (12 + 2 * 56));
+  EXPECT_EQ(BackwardOpBytes("matmul", inputs, {4, 3}), 4 * (12 + 2 * 56));
+  // A reshape is a zero-copy view both ways.
+  EXPECT_EQ(BackwardOpBytes("reshape", {inputs[0]}, {32}), 0);
 }
 
 TEST(KernelCostProfilerTest, MatMulTrainStepRecordsModeledCosts) {
@@ -148,7 +150,8 @@ TEST(KernelCostProfilerTest, SoftmaxBackwardAttributed) {
   Rng rng(11);
   Tensor x = Tensor::Randn({4, 5}, rng, 1.0f, /*requires_grad=*/true);
   Sum(Softmax(x, 1)).Backward();
-  const obs::OpProfile* softmax = FindOp(obs::OpProfiles(), "softmax");
+  const auto ops = obs::OpProfiles();
+  const obs::OpProfile* softmax = FindOp(ops, "softmax");
   ASSERT_NE(softmax, nullptr);
   EXPECT_EQ(softmax->forward_flops, 5 * 20);
   EXPECT_EQ(softmax->backward_flops, 4 * 20);

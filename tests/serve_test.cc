@@ -33,6 +33,7 @@
 #include "serve/http.h"
 #include "serve/service.h"
 #include "serve/trace.h"
+#include "tensor/fusion.h"
 #include "util/json_mini.h"
 
 namespace sthsl::serve {
@@ -457,6 +458,23 @@ TEST(BundleTest, ManifestRoundTripPreservesIdentity) {
   EXPECT_GT(m.stddev, 0.0f);
   EXPECT_EQ(m.WindowShape(), (std::vector<int64_t>{16, 7, 4}));
   ASSERT_EQ(m.category_names.size(), 4u);
+}
+
+TEST(BundleTest, PredictWindowsReturnsMaterializedPredictions) {
+  SetFusionEnabledForTesting(1);  // the chain forms even under debug checks
+  TempDir dir;
+  LoadedBundle bundle = TrainAndRoundTripBundle(dir.path);
+  const std::vector<int64_t> shape = bundle.manifest.WindowShape();
+  const std::vector<Tensor> windows = {Tensor::Ones(shape),
+                                       Tensor::Zeros(shape)};
+  const std::vector<Tensor> predictions =
+      bundle.model->PredictWindows(windows);
+  SetFusionEnabledForTesting(-1);
+  ASSERT_EQ(predictions.size(), windows.size());
+  for (const Tensor& p : predictions) {
+    EXPECT_TRUE(p.Impl()->pending == nullptr)
+        << "prediction left as a pending fused chain";
+  }
 }
 
 TEST(BundleTest, MissingAndCorruptBundlesAreRejected) {

@@ -1,5 +1,7 @@
 // Tests for the utility substrate: Status/Result, RNG distributions, CSV.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <numeric>
 #include <string>
@@ -8,12 +10,26 @@
 
 #include "util/csv.h"
 #include "util/logging.h"
+#include "util/provenance.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/timer.h"
 
 namespace sthsl {
 namespace {
+
+TEST(ProvenanceTest, GitHashDoesNotDependOnWorkingDirectory) {
+  // The hash is stamped at configure time, so a binary run from outside the
+  // source tree reports the same commit as one run inside it.
+  const std::string here = SourceGitHash();
+  EXPECT_FALSE(here.empty());
+  char cwd[4096];
+  ASSERT_NE(getcwd(cwd, sizeof cwd), nullptr);
+  ASSERT_EQ(chdir("/"), 0);
+  const std::string elsewhere = SourceGitHash();
+  ASSERT_EQ(chdir(cwd), 0);
+  EXPECT_EQ(elsewhere, here);
+}
 
 TEST(StatusTest, OkByDefault) {
   Status s;

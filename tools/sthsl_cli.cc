@@ -33,6 +33,7 @@
 #include "serve/bundle.h"
 #include "util/obs/calibrate.h"
 #include "util/obs/obs.h"
+#include "util/provenance.h"
 
 using namespace sthsl;
 
@@ -261,21 +262,6 @@ int CmdForecast(const Args& args) {
   return 0;
 }
 
-// Runs `git rev-parse HEAD` so bundles record which tree produced them;
-// "unknown" when git (or a repo) is unavailable, e.g. from an installed tree.
-std::string GitHashOrUnknown() {
-  std::string hash;
-  if (FILE* pipe = popen("git rev-parse HEAD 2>/dev/null", "r")) {
-    char buf[64];
-    if (std::fgets(buf, sizeof buf, pipe) != nullptr) hash = buf;
-    pclose(pipe);
-  }
-  while (!hash.empty() && (hash.back() == '\n' || hash.back() == '\r')) {
-    hash.pop_back();
-  }
-  return hash.empty() ? "unknown" : hash;
-}
-
 int CmdExportBundle(const Args& args) {
   auto data_or = LoadData(args);
   if (!data_or.ok()) {
@@ -301,7 +287,7 @@ int CmdExportBundle(const Args& args) {
   provenance.city = data.city_name();
   provenance.category_names = data.category_names();
   provenance.generator_seed = args.GetInt("gen-seed", -1);
-  provenance.git_hash = GitHashOrUnknown();
+  provenance.git_hash = SourceGitHash();
   provenance.tool = "sthsl_cli export-bundle";
   status = serve::WriteBundle(model, out, provenance);
   if (!status.ok()) {
