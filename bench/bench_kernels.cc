@@ -161,6 +161,9 @@ void RunThreadScalingSweep() {
   Tensor c2_b = Tensor::Randn({4}, rng);
   Tensor c1_in = Tensor::Randn({1024, 4, 14}, rng);
   Tensor c1_w = Tensor::Randn({4, 4, 3}, rng);
+  // ST-HSL's single-channel global temporal conv: (R*C*d, 1, W).
+  Tensor g1_in = Tensor::Randn({4096, 1, 14}, rng);
+  Tensor g1_w = Tensor::Randn({1, 1, 3}, rng);
   Tensor ex = Tensor::Randn({int64_t{1} << 20}, rng);
   Tensor ey = Tensor::Randn({int64_t{1} << 20}, rng);
 
@@ -170,6 +173,8 @@ void RunThreadScalingSweep() {
        [&] { benchmark::DoNotOptimize(Conv2d(c2_in, c2_w, c2_b, 1, 1)); }},
       {"conv1d_b1024",
        [&] { benchmark::DoNotOptimize(Conv1d(c1_in, c1_w, Tensor(), 1)); }},
+      {"conv1d_global_b4096",
+       [&] { benchmark::DoNotOptimize(Conv1d(g1_in, g1_w, Tensor(), 1)); }},
       {"fused_elementwise_1m",
        [&] { benchmark::DoNotOptimize(Sigmoid(Add(Mul(ex, ey), ex))); }},
   };
@@ -258,7 +263,7 @@ void RunIsaSweepAndFusionBench() {
 
   // Dispatched set first, then every other variant this binary carries.
   std::vector<const simd::MicrokernelSet*> variants = {&simd::Kernels()};
-  for (const char* name : {"portable", "avx2", "neon"}) {
+  for (const char* name : {"portable", "avx2"}) {
     const simd::MicrokernelSet* set = simd::KernelsByName(name);
     if (set != nullptr && std::string(set->name) != variants[0]->name) {
       variants.push_back(set);

@@ -77,15 +77,44 @@ void GemmTileAvx2(const float* a_panel, const float* b_panel, float* c,
   }
 }
 
-void AxpyAvx2(int64_t n, float a, const float* x, float* y) {
-  const __m256 av = _mm256_set1_ps(a);
+// Four independent 8-lane accumulators per pass hide the fma latency; each
+// tap is one broadcast weight and one unaligned load per accumulator. The
+// scalar tail runs the same ascending-tap fma chain per element.
+void AxpyTapsAvx2(int64_t n, int64_t taps, const float* w,
+                  const float* const* x, float* y) {
+  const int64_t n32 = n & ~int64_t{31};
   const int64_t n8 = n & ~int64_t{7};
-  for (int64_t i = 0; i < n8; i += 8) {
-    const __m256 xv = _mm256_loadu_ps(x + i);
-    const __m256 yv = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(y + i, _mm256_fmadd_ps(av, xv, yv));
+  for (int64_t i = 0; i < n32; i += 32) {
+    __m256 a0 = _mm256_loadu_ps(y + i);
+    __m256 a1 = _mm256_loadu_ps(y + i + 8);
+    __m256 a2 = _mm256_loadu_ps(y + i + 16);
+    __m256 a3 = _mm256_loadu_ps(y + i + 24);
+    for (int64_t t = 0; t < taps; ++t) {
+      const __m256 wv = _mm256_broadcast_ss(w + t);
+      const float* xt = x[t] + i;
+      a0 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(xt), a0);
+      a1 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(xt + 8), a1);
+      a2 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(xt + 16), a2);
+      a3 = _mm256_fmadd_ps(wv, _mm256_loadu_ps(xt + 24), a3);
+    }
+    _mm256_storeu_ps(y + i, a0);
+    _mm256_storeu_ps(y + i + 8, a1);
+    _mm256_storeu_ps(y + i + 16, a2);
+    _mm256_storeu_ps(y + i + 24, a3);
   }
-  for (int64_t i = n8; i < n; ++i) y[i] = std::fma(a, x[i], y[i]);
+  for (int64_t i = n32; i < n8; i += 8) {
+    __m256 acc = _mm256_loadu_ps(y + i);
+    for (int64_t t = 0; t < taps; ++t) {
+      acc = _mm256_fmadd_ps(_mm256_broadcast_ss(w + t),
+                            _mm256_loadu_ps(x[t] + i), acc);
+    }
+    _mm256_storeu_ps(y + i, acc);
+  }
+  for (int64_t i = n8; i < n; ++i) {
+    float acc = y[i];
+    for (int64_t t = 0; t < taps; ++t) acc = std::fma(w[t], x[t][i], acc);
+    y[i] = acc;
+  }
 }
 
 // Canonical lane fold: b = lo + hi, c = [b0+b2, b1+b3], result = c0 + c1.
@@ -320,7 +349,7 @@ const MicrokernelSet* Avx2KernelsOrNull() {
   static const MicrokernelSet set = {
       "avx2",
       GemmTileAvx2,
-      AxpyAvx2,
+      AxpyTapsAvx2,
       DotAvx2,
       ReduceSumAvx2,
       ReduceMaxAvx2,

@@ -25,8 +25,6 @@ const MicrokernelSet* AvailableAvx2() {
   return Avx2KernelsOrNull();
 }
 
-const MicrokernelSet* AvailableNeon() { return NeonKernelsOrNull(); }
-
 const MicrokernelSet* SelectKernels() {
   const char* env = std::getenv("STHSL_SIMD");
   if (env != nullptr && env[0] != '\0') {
@@ -39,7 +37,6 @@ const MicrokernelSet* SelectKernels() {
     return &PortableKernels();
   }
   if (const MicrokernelSet* s = AvailableAvx2()) return s;
-  if (const MicrokernelSet* s = AvailableNeon()) return s;
   return &PortableKernels();
 }
 
@@ -78,7 +75,6 @@ std::string CpuFeatureString() {
 const MicrokernelSet* KernelsByName(const std::string& name) {
   if (name == "portable") return &PortableKernels();
   if (name == "avx2") return AvailableAvx2();
-  if (name == "neon") return AvailableNeon();
   return nullptr;
 }
 

@@ -3,7 +3,7 @@
 //
 // Multiply-accumulate chains use std::fma so each element sees exactly one
 // rounding per step, the same as the fused vector instructions in the AVX2
-// and NEON sets. Reductions accumulate into 8 explicit lanes and fold them
+// set. Reductions accumulate into 8 explicit lanes and fold them
 // through the canonical pairwise tree; the lane assignment (j mod 8) and the
 // fold order are part of the contract, not an implementation detail.
 
@@ -30,8 +30,13 @@ void GemmTilePortable(const float* a_panel, const float* b_panel, float* c,
   }
 }
 
-void AxpyPortable(int64_t n, float a, const float* x, float* y) {
-  for (int64_t i = 0; i < n; ++i) y[i] = std::fma(a, x[i], y[i]);
+void AxpyTapsPortable(int64_t n, int64_t taps, const float* w,
+                      const float* const* x, float* y) {
+  for (int64_t i = 0; i < n; ++i) {
+    float acc = y[i];
+    for (int64_t t = 0; t < taps; ++t) acc = std::fma(w[t], x[t][i], acc);
+    y[i] = acc;
+  }
 }
 
 // Canonical lane fold shared by the reductions below: the exact tree a
@@ -172,7 +177,7 @@ const MicrokernelSet& PortableKernels() {
   static const MicrokernelSet set = {
       "portable",
       GemmTilePortable,
-      AxpyPortable,
+      AxpyTapsPortable,
       DotPortable,
       ReduceSumPortable,
       ReduceMaxPortable,

@@ -3,22 +3,22 @@
 
 // Runtime-dispatched SIMD microkernel layer.
 //
-// Every inner loop of the tensor tier (GEMM register tiles, conv axpy/dot,
-// reductions, elementwise strips, optimizer updates) calls through the
-// MicrokernelSet selected here once at startup: AVX2+FMA on x86-64, NEON on
-// aarch64, and a portable scalar fallback everywhere. The STHSL_SIMD
-// environment variable (avx2 | neon | portable) overrides the automatic
-// choice for A/B comparisons and debugging; tests can swap sets at runtime
-// with SetKernelsForTesting.
+// Every inner loop of the tensor tier (GEMM register tiles, conv tap
+// strips and dots, reductions, elementwise strips, optimizer updates) calls
+// through the MicrokernelSet selected here once at startup: AVX2+FMA on
+// x86-64 CPUs that have it, and the portable scalar set everywhere else
+// (aarch64 included). The STHSL_SIMD environment variable (avx2 | portable)
+// overrides the automatic choice for A/B comparisons and debugging; tests
+// can swap sets at runtime with SetKernelsForTesting.
 //
 // Determinism contract (extends the sthsl::exec contract across ISAs): every
 // variant of every kernel performs the *same floating-point operations in
 // the same order per output element*, so portable and vectorized runs are
 // bitwise-identical — down to checkpoint bytes — not merely close:
 //
-//  - Multiply-accumulate chains (gemm_tile, axpy, optimizer EMAs) use fused
-//    multiply-add everywhere: std::fma in the portable kernels, the fused
-//    vector instruction (vfmadd/vfma) in the SIMD kernels. One rounding per
+//  - Multiply-accumulate chains (gemm_tile, axpy_taps, optimizer EMAs) use
+//    fused multiply-add everywhere: std::fma in the portable kernels, the
+//    fused vector instruction (vfmadd) in the SIMD kernels. One rounding per
 //    element per step in all variants.
 //  - Lane-parallel elementwise ops (+, -, *, /, max, sqrt, compare/select)
 //    are IEEE-754 basic operations: a vector lane computes bit-for-bit what
@@ -30,8 +30,7 @@
 //        c0=b0+b2  c1=b1+b3
 //        result = (c0 + c1) + tail
 //    The portable kernel implements this tree explicitly; it is exactly the
-//    lane fold the 256-bit (and paired 128-bit NEON) horizontal reduction
-//    performs.
+//    lane fold the 256-bit horizontal reduction performs.
 //  - Transcendentals (exp, log, tanh, pow) are never vectorized: all
 //    variants call scalar libm so polynomial-approximation differences
 //    between SIMD math libraries can't leak into checkpoints.
@@ -40,8 +39,7 @@
 // simd_test.cc pins every variant against them bitwise, including
 // non-multiple-of-vector-width tails.
 //
-// Intrinsics headers (<immintrin.h>, <arm_neon.h>) are confined to this
-// directory — the analyzer's det-intrinsics rule rejects them anywhere else.
+// Intrinsics headers (<immintrin.h>) are confined to this directory — the analyzer's det-intrinsics rule rejects them anywhere else.
 
 #include <cstdint>
 #include <string>
@@ -49,7 +47,8 @@
 namespace sthsl::simd {
 
 /// CPU features detected at startup (x86: cpuid via the compiler builtin;
-/// aarch64: NEON is architecturally guaranteed).
+/// aarch64: NEON is architecturally guaranteed, and reported, but no NEON
+/// kernel set exists — aarch64 runs the portable set).
 struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
@@ -72,7 +71,7 @@ inline constexpr int64_t kGemmTileCols = 16;
 /// One ISA variant of the microkernel layer. All buffers are float32; `n`
 /// counts elements. Function pointers are never null.
 struct MicrokernelSet {
-  /// Variant name: "portable", "avx2" or "neon".
+  /// Variant name: "portable" or "avx2".
   const char* name;
 
   /// GEMM register tile: for each output element (i, j) with i < mr, j < nr,
@@ -85,8 +84,14 @@ struct MicrokernelSet {
   void (*gemm_tile)(const float* a_panel, const float* b_panel, float* c,
                     int64_t ldc, int64_t mr, int64_t nr, int64_t kc);
 
-  /// y[i] = fma(a, x[i], y[i])
-  void (*axpy)(int64_t n, float a, const float* x, float* y);
+  /// Multi-tap axpy: for each i < n,
+  ///   y[i] = fma(w[t], x[t][i], y[i])    for t = 0 .. taps-1 ascending,
+  /// with y[i] held in a register across the taps. One call applies every
+  /// tap of a convolution output channel to a whole strip (the taps are
+  /// constant shifts of one padded input; see tensor/conv.cc). y must not
+  /// alias any x[t].
+  void (*axpy_taps)(int64_t n, int64_t taps, const float* w,
+                    const float* const* x, float* y);
 
   /// Canonical 8-lane fma dot product (see the reduction contract above).
   float (*dot)(int64_t n, const float* x, const float* y);
@@ -132,7 +137,7 @@ struct MicrokernelSet {
 /// The portable scalar reference set (always available on every target).
 const MicrokernelSet& PortableKernels();
 
-/// Looks up a variant by name ("portable", "avx2", "neon"). Returns nullptr
+/// Looks up a variant by name ("portable", "avx2"). Returns nullptr
 /// for unknown names and for variants not compiled into this binary.
 const MicrokernelSet* KernelsByName(const std::string& name);
 

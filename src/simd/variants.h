@@ -4,13 +4,13 @@
 // Internal to src/simd: per-ISA variant factories consumed by dispatch.cc.
 // Each returns nullptr when the variant is not compiled into this binary
 // (wrong target architecture); CPU-support checks happen in the dispatcher.
+// Targets without a variant here (aarch64 among them) run the portable set.
 
 #include "simd/simd.h"
 
 namespace sthsl::simd {
 
 const MicrokernelSet* Avx2KernelsOrNull();
-const MicrokernelSet* NeonKernelsOrNull();
 
 }  // namespace sthsl::simd
 

@@ -1,5 +1,6 @@
 #include "tensor/fusion.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -17,6 +18,10 @@ namespace {
 // Same elementwise grain as ops.cc (see docs/performance.md).
 constexpr int64_t kFusedGrain = 16384;
 
+// Strip length of the fused backward: kMaxFusedSteps value strips plus two
+// work strips live on the stack (about 10 KB).
+constexpr int64_t kFusedStrip = 256;
+
 std::atomic<int> g_fusion_override{-1};
 
 bool NeedsGrad(const Tensor& t) {
@@ -31,7 +36,7 @@ void EnsureMaterialized(const Tensor& t) {
 // Scalar forward of one step — the formulas are copied verbatim from the
 // unfused ops.cc lambdas, and the vectorized ApplyStep path below is
 // lane-exact against them (IEEE ops via the simd kernels, scalar libm for
-// transcendentals), so backward's recompute matches the materialized
+// transcendentals), so backward's strip recompute matches the materialized
 // forward bitwise.
 inline float EvalStep(const FusedStep& s, float x, float y) {
   switch (s.op) {
@@ -75,101 +80,45 @@ inline float EvalStep(const FusedStep& s, float x, float y) {
   return 0.0f;
 }
 
-// Local derivative w.r.t. the chained value x, given x (input to the step)
-// and fx (its output) — verbatim from the ops.cc dx/df lambdas.
-inline float EvalStepDx(const FusedStep& s, float x, float fx, float y) {
-  switch (s.op) {
-    case FusedOp::kAdd:
-    case FusedOp::kSub:
-    case FusedOp::kAddScalar:
-      return 1.0f;
-    case FusedOp::kMul:
-      return y;
-    case FusedOp::kDiv:
-      return 1.0f / y;
-    case FusedOp::kMulScalar:
-      return s.scalar;
-    case FusedOp::kNeg:
-      return -1.0f;
-    case FusedOp::kExp:
-      return fx;
-    case FusedOp::kLog:
-      return 1.0f / std::max(x, 1e-12f);
-    case FusedOp::kSqrt:
-      return 0.5f / std::max(fx, 1e-12f);
-    case FusedOp::kAbs:
-      return x >= 0.0f ? 1.0f : -1.0f;
-    case FusedOp::kSquare:
-      return 2.0f * x;
-    case FusedOp::kPowScalar:
-      return s.scalar * std::pow(x, s.scalar - 1.0f);
-    case FusedOp::kSigmoid:
-      return fx * (1.0f - fx);
-    case FusedOp::kTanh:
-      return 1.0f - fx * fx;
-    case FusedOp::kRelu:
-      return x > 0.0f ? 1.0f : 0.0f;
-    case FusedOp::kLeakyRelu:
-      return x > 0.0f ? 1.0f : s.scalar;
-    case FusedOp::kClampMin:
-      return x > s.scalar ? 1.0f : 0.0f;
-  }
-  return 0.0f;
-}
-
-// Local derivative w.r.t. the rhs of a binary step.
-inline float EvalStepDy(const FusedStep& s, float x, float y) {
-  switch (s.op) {
-    case FusedOp::kAdd:
-      return 1.0f;
-    case FusedOp::kSub:
-      return -1.0f;
-    case FusedOp::kMul:
-      return x;
-    case FusedOp::kDiv:
-      return -x / (y * y);
-    default:
-      return 0.0f;
-  }
-}
-
-// Applies one step in place over a contiguous strip, through the simd
-// kernels where one exists (all lane-exact), scalar libm otherwise.
-void ApplyStep(const FusedStep& s, float* buf, const float* rhs, int64_t n) {
+// Applies one step over a contiguous strip, out[i] = step(x[i], rhs[i]),
+// through the simd kernels where one exists (all lane-exact), scalar libm
+// otherwise. out may alias x.
+void ApplyStep(const FusedStep& s, const float* x, const float* rhs,
+               int64_t n, float* out) {
   const auto& ks = simd::Kernels();
   switch (s.op) {
     case FusedOp::kAdd:
-      ks.add(n, buf, rhs, buf);
+      ks.add(n, x, rhs, out);
       return;
     case FusedOp::kSub:
-      ks.sub(n, buf, rhs, buf);
+      ks.sub(n, x, rhs, out);
       return;
     case FusedOp::kMul:
-      ks.mul(n, buf, rhs, buf);
+      ks.mul(n, x, rhs, out);
       return;
     case FusedOp::kDiv:
-      ks.div(n, buf, rhs, buf);
+      ks.div(n, x, rhs, out);
       return;
     case FusedOp::kAddScalar:
-      ks.add_scalar(n, buf, s.scalar, buf);
+      ks.add_scalar(n, x, s.scalar, out);
       return;
     case FusedOp::kMulScalar:
-      ks.mul_scalar(n, buf, s.scalar, buf);
+      ks.mul_scalar(n, x, s.scalar, out);
       return;
     case FusedOp::kSquare:
-      ks.mul(n, buf, buf, buf);
+      ks.mul(n, x, x, out);
       return;
     case FusedOp::kRelu:
-      ks.relu(n, buf, buf);
+      ks.relu(n, x, out);
       return;
     case FusedOp::kLeakyRelu:
-      ks.leaky_relu(n, buf, s.scalar, buf);
+      ks.leaky_relu(n, x, s.scalar, out);
       return;
     case FusedOp::kClampMin:
-      ks.clamp_min(n, buf, s.scalar, buf);
+      ks.clamp_min(n, x, s.scalar, out);
       return;
     default:
-      for (int64_t i = 0; i < n; ++i) buf[i] = EvalStep(s, buf[i], 0.0f);
+      for (int64_t i = 0; i < n; ++i) out[i] = EvalStep(s, x[i], 0.0f);
       return;
   }
 }
@@ -178,11 +127,112 @@ std::string FusedOpName(size_t nsteps) {
   return "fused_elemwise" + std::to_string(nsteps);
 }
 
-// Backward for a fused chain: per element, recompute the forward values
-// from the root, then fold the gradient through the steps in reverse. The
-// multiplication sequence (g · df_K) · df_{K-1} · ... is exactly what the
-// unfused op-by-op backward performs, so fusion leaves gradients bitwise
-// unchanged.
+// True when the step's local derivative reads the step's output fx; the
+// others read only its input x, its rhs y or its scalar.
+bool DxReadsOutput(FusedOp op) {
+  return op == FusedOp::kExp || op == FusedOp::kSqrt ||
+         op == FusedOp::kSigmoid || op == FusedOp::kTanh;
+}
+
+// gout[i] = gin[i] * d(step)/dx at element i, over a strip of m elements:
+// x is the step's input, fx its output (read only when DxReadsOutput), y
+// its rhs (binary steps only), `work` an m-float buffer. The derivative
+// formulas are the ops.cc dx/df lambdas, one switch per strip; constant and
+// operand-valued derivatives multiply through the simd kernels directly.
+// Each element's product is the same single rounding as the unfused op's
+// `g * df`, with g as the left operand. gout may alias gin.
+void FoldDx(const FusedStep& s, const float* x, const float* fx,
+            const float* y, int64_t m, float* work, const float* gin,
+            float* gout) {
+  const auto& ks = simd::Kernels();
+  float* d = work;
+  switch (s.op) {
+    case FusedOp::kAdd:
+    case FusedOp::kSub:
+    case FusedOp::kAddScalar:
+      ks.mul_scalar(m, gin, 1.0f, gout);
+      return;
+    case FusedOp::kMul:
+      ks.mul(m, gin, y, gout);
+      return;
+    case FusedOp::kMulScalar:
+      ks.mul_scalar(m, gin, s.scalar, gout);
+      return;
+    case FusedOp::kNeg:
+      ks.mul_scalar(m, gin, -1.0f, gout);
+      return;
+    case FusedOp::kExp:
+      ks.mul(m, gin, fx, gout);
+      return;
+    case FusedOp::kDiv:
+      for (int64_t i = 0; i < m; ++i) d[i] = 1.0f / y[i];
+      break;
+    case FusedOp::kLog:
+      for (int64_t i = 0; i < m; ++i) d[i] = 1.0f / std::max(x[i], 1e-12f);
+      break;
+    case FusedOp::kSqrt:
+      for (int64_t i = 0; i < m; ++i) d[i] = 0.5f / std::max(fx[i], 1e-12f);
+      break;
+    case FusedOp::kAbs:
+      for (int64_t i = 0; i < m; ++i) d[i] = x[i] >= 0.0f ? 1.0f : -1.0f;
+      break;
+    case FusedOp::kSquare:
+      for (int64_t i = 0; i < m; ++i) d[i] = 2.0f * x[i];
+      break;
+    case FusedOp::kPowScalar:
+      for (int64_t i = 0; i < m; ++i) {
+        d[i] = s.scalar * std::pow(x[i], s.scalar - 1.0f);
+      }
+      break;
+    case FusedOp::kSigmoid:
+      for (int64_t i = 0; i < m; ++i) d[i] = fx[i] * (1.0f - fx[i]);
+      break;
+    case FusedOp::kTanh:
+      for (int64_t i = 0; i < m; ++i) d[i] = 1.0f - fx[i] * fx[i];
+      break;
+    case FusedOp::kRelu:
+      for (int64_t i = 0; i < m; ++i) d[i] = x[i] > 0.0f ? 1.0f : 0.0f;
+      break;
+    case FusedOp::kLeakyRelu:
+      for (int64_t i = 0; i < m; ++i) d[i] = x[i] > 0.0f ? 1.0f : s.scalar;
+      break;
+    case FusedOp::kClampMin:
+      for (int64_t i = 0; i < m; ++i) d[i] = x[i] > s.scalar ? 1.0f : 0.0f;
+      break;
+  }
+  ks.mul(m, gin, d, gout);
+}
+
+// out[i] = gin[i] * d(step)/dy at element i for a binary step (same
+// conventions as FoldDx).
+void FoldDy(const FusedStep& s, const float* x, const float* y, int64_t m,
+            float* work, const float* gin, float* out) {
+  const auto& ks = simd::Kernels();
+  switch (s.op) {
+    case FusedOp::kAdd:
+      ks.mul_scalar(m, gin, 1.0f, out);
+      return;
+    case FusedOp::kSub:
+      ks.mul_scalar(m, gin, -1.0f, out);
+      return;
+    case FusedOp::kMul:
+      ks.mul(m, gin, x, out);
+      return;
+    case FusedOp::kDiv:
+      for (int64_t i = 0; i < m; ++i) work[i] = -x[i] / (y[i] * y[i]);
+      ks.mul(m, gin, work, out);
+      return;
+    default:
+      return;
+  }
+}
+
+// Backward for a fused chain, strip by strip: recompute the forward values
+// of the strip through ApplyStep (lane-exact against the materialized
+// forward), then fold the gradient through the steps in reverse. Per
+// element, the multiplication sequence (g · df_K) · df_{K-1} · ... is
+// exactly what the unfused op-by-op backward performs, so fusion leaves
+// gradients bitwise unchanged.
 std::vector<Tensor> FusedBackward(const std::shared_ptr<FusedChain>& chain,
                                   const Tensor& g) {
   const Tensor& root = chain->root;
@@ -207,24 +257,34 @@ std::vector<Tensor> FusedBackward(const std::shared_ptr<FusedChain>& chain,
   exec::ParallelFor(
       0, n, kFusedGrain,
       [&](int64_t lo, int64_t hi) {
-        float v[kMaxFusedSteps + 1];
-        for (int64_t i = lo; i < hi; ++i) {
-          v[0] = rv[i];
+        float vals[kMaxFusedSteps][kFusedStrip];
+        float work[kFusedStrip];
+        float gbuf[kFusedStrip];
+        for (int64_t a = lo; a < hi; a += kFusedStrip) {
+          const int64_t m = std::min(kFusedStrip, hi - a);
+          // v[k] is the input of step k; the last step's output is only
+          // recomputed when its derivative reads it.
+          const float* v[kMaxFusedSteps + 1] = {rv + a};
           for (int64_t k = 0; k < nsteps; ++k) {
-            const float y = rhs_ptr[k] != nullptr ? rhs_ptr[k][i] : 0.0f;
-            v[k + 1] = EvalStep(steps[static_cast<size_t>(k)], v[k], y);
-          }
-          float gcur = gv[i];
-          for (int64_t k = nsteps - 1; k >= 0; --k) {
             const FusedStep& s = steps[static_cast<size_t>(k)];
-            const float y = rhs_ptr[k] != nullptr ? rhs_ptr[k][i] : 0.0f;
-            if (!rhs_g[static_cast<size_t>(k)].empty()) {
-              rhs_g[static_cast<size_t>(k)][static_cast<size_t>(i)] =
-                  gcur * EvalStepDy(s, v[k], y);
-            }
-            gcur = gcur * EvalStepDx(s, v[k], v[k + 1], y);
+            if (k == nsteps - 1 && !DxReadsOutput(s.op)) break;
+            ApplyStep(s, v[k],
+                      rhs_ptr[k] != nullptr ? rhs_ptr[k] + a : nullptr, m,
+                      vals[k]);
+            v[k + 1] = vals[k];
           }
-          if (need_root) root_g[static_cast<size_t>(i)] = gcur;
+          // The first fold reads g in place; later folds update gout.
+          const float* gin = gv + a;
+          float* gout = need_root ? root_g.data() + a : gbuf;
+          for (int64_t k = nsteps - 1; k >= 0; --k) {
+            const auto ki = static_cast<size_t>(k);
+            const float* y = rhs_ptr[ki] != nullptr ? rhs_ptr[ki] + a : nullptr;
+            if (!rhs_g[ki].empty()) {
+              FoldDy(steps[ki], v[k], y, m, work, gin, rhs_g[ki].data() + a);
+            }
+            FoldDx(steps[ki], v[k], v[k + 1], y, m, work, gin, gout);
+            gin = gout;
+          }
         }
       },
       "exec/fused_elemwise_bwd");
@@ -365,16 +425,17 @@ void MaterializePending(TensorImpl& impl) {
     ++binary_steps;
   }
 
-  // One pass per chunk: seed with the root values, then apply every step in
-  // place — no intermediate tensors exist at any point.
+  // One pass per chunk: the first step reads the root values, the rest
+  // apply in place — no intermediate tensors exist at any point.
   exec::ParallelFor(
       0, n, kFusedGrain,
       [&](int64_t lo, int64_t hi) {
-        std::copy(rv + lo, rv + hi, out + lo);
+        const float* in = rv + lo;
         for (size_t k = 0; k < steps.size(); ++k) {
           const float* rhs =
               rhs_ptr[k] != nullptr ? rhs_ptr[k] + lo : nullptr;
-          ApplyStep(steps[k], out + lo, rhs, hi - lo);
+          ApplyStep(steps[k], in, rhs, hi - lo, out + lo);
+          in = out + lo;
         }
       },
       "exec/fused_elemwise");

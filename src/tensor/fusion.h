@@ -15,13 +15,15 @@
 //
 // Autograd: a pending tensor's GradNode is "fused_elemwise<K>" with inputs
 // [root, rhs...] (the rhs operands of the binary steps, in step order). Its
-// backward recomputes the forward values per element — scalar code, bitwise
-// equal to the vectorized forward because every fused op is a lane-exact
-// IEEE operation or scalar libm call (see simd/simd.h) — then applies the
-// exact local-derivative formulas of the unfused ops in reverse. The
-// gradient each input receives is the same product sequence the unfused op
-// chain would produce, so fusion changes no result bitwise: not gradients,
-// not optimizer updates, not checkpoint bytes.
+// backward runs in strips of 256 elements: it recomputes the strip's
+// forward values through the same simd step kernels the forward uses
+// (bitwise equal, since every fused op is a lane-exact IEEE operation or a
+// scalar libm call; see simd/simd.h), evaluates each step's local
+// derivative once per strip with the unfused ops' exact formulas, and folds
+// the gradient through them in reverse step order with the simd multiply.
+// The gradient each input receives is the same product sequence the unfused
+// op chain would produce, so fusion changes no result bitwise: not
+// gradients, not optimizer updates, not checkpoint bytes.
 //
 // Pending chains created while fusing an op onto a still-pending input share
 // the root and copy the steps; the shorter prefix tensor stays pending and,
@@ -70,7 +72,7 @@ struct FusedStep {
 };
 
 /// Chain length cap: long enough for the model's activation pipelines,
-/// short enough that backward's per-element value array stays on the stack.
+/// short enough that backward's per-strip value buffers stay on the stack.
 inline constexpr int64_t kMaxFusedSteps = 8;
 
 struct FusedChain {

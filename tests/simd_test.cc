@@ -5,14 +5,15 @@
 //    set matches the detected CPU, the test override works;
 //  - parity: every compiled variant reproduces the portable reference
 //    BITWISE on every kernel, across non-multiple-of-vector-width tails
-//    (1, 3, 7, 17, 63) — the executable form of the simd.h contract;
+//    (1, 3, 7, 17, 63), and axpy_taps its ascending-fma spec across tap
+//    counts 1-36 — the executable form of the simd.h contract;
 //  - GEMM: the blocked driver matches a plain ascending-fma reference
 //    bitwise, including K larger than the cache block;
 //  - fusion: chains collapse to one autograd node, forward/backward are
 //    bitwise identical to the unfused graph, gradcheck passes, broadcasts
 //    fall back to eager, intermediate allocations disappear;
-//  - thread invariance: vectorized and fused paths are bitwise stable
-//    across thread counts.
+//  - thread invariance: vectorized and fused paths, conv tiles and fused
+//    backward strips are bitwise stable across thread counts.
 
 #include <bit>
 #include <cmath>
@@ -44,9 +45,7 @@ const std::vector<int64_t>& TailSizes() {
 std::vector<const simd::MicrokernelSet*> CompiledVariants() {
   std::vector<const simd::MicrokernelSet*> out;
   out.push_back(&simd::PortableKernels());
-  for (const char* name : {"avx2", "neon"}) {
-    if (const auto* ks = simd::KernelsByName(name)) out.push_back(ks);
-  }
+  if (const auto* ks = simd::KernelsByName("avx2")) out.push_back(ks);
   return out;
 }
 
@@ -115,8 +114,6 @@ TEST(SimdDispatch, SelectedSetMatchesCpuFeatures) {
   const char* selected = simd::Kernels().name;
   if (feats.avx2 && feats.fma && simd::KernelsByName("avx2") != nullptr) {
     EXPECT_STREQ(selected, "avx2");
-  } else if (feats.neon && simd::KernelsByName("neon") != nullptr) {
-    EXPECT_STREQ(selected, "neon");
   } else {
     EXPECT_STREQ(selected, "portable");
   }
@@ -209,7 +206,44 @@ TEST(SimdParity, ReductionsBitwiseAcrossVariantsAndTails) {
   }
 }
 
-TEST(SimdParity, AxpyAndOptimizerStepsBitwiseAcrossVariantsAndTails) {
+// axpy_taps against its spec — y[i] = fma(w[t], x[t][i], y[i]) for t
+// ascending — with taps that overlap (constant shifts of one buffer, the
+// way conv uses them) and weights/values that include +0, -0 and negatives.
+TEST(SimdParity, AxpyTapsBitwiseAcrossVariantsTailsAndTapCounts) {
+  for (const auto* ks : CompiledVariants()) {
+    for (int64_t n : {int64_t{1}, int64_t{7}, int64_t{8}, int64_t{31},
+                      int64_t{33}, int64_t{257}}) {
+      for (int64_t taps = 1; taps <= 36; ++taps) {
+        const std::vector<float> src =
+            RandomValues(n + taps, 1100 + n * 37 + taps);
+        std::vector<float> w = RandomValues(taps, 1200 + taps);
+        if (taps > 2) w[2] = -1.5f;
+        std::vector<const float*> x(static_cast<size_t>(taps));
+        for (int64_t t = 0; t < taps; ++t) {
+          x[static_cast<size_t>(t)] = src.data() + (t * 5) % (taps + 1);
+        }
+        const std::vector<float> y0 = RandomValues(n, 1300 + n);
+        std::vector<float> want = y0;
+        for (int64_t i = 0; i < n; ++i) {
+          for (int64_t t = 0; t < taps; ++t) {
+            want[static_cast<size_t>(i)] =
+                std::fma(w[static_cast<size_t>(t)],
+                         x[static_cast<size_t>(t)][i],
+                         want[static_cast<size_t>(i)]);
+          }
+        }
+        std::vector<float> got = y0;
+        ks->axpy_taps(n, taps, w.data(), x.data(), got.data());
+        ExpectBitwiseEq(got, want,
+                        std::string("axpy_taps ") + ks->name + " n=" +
+                            std::to_string(n) + " taps=" +
+                            std::to_string(taps));
+      }
+    }
+  }
+}
+
+TEST(SimdParity, OptimizerStepsBitwiseAcrossVariantsAndTails) {
   const auto& ref = simd::PortableKernels();
   for (const auto* ks : CompiledVariants()) {
     for (int64_t n : TailSizes()) {
@@ -217,12 +251,6 @@ TEST(SimdParity, AxpyAndOptimizerStepsBitwiseAcrossVariantsAndTails) {
       const std::vector<float> x0 = RandomValues(n, 600 + n);
       const std::string tag =
           std::string(ks->name) + " n=" + std::to_string(n);
-
-      std::vector<float> ya = x0;
-      std::vector<float> yb = x0;
-      ks->axpy(n, 1.3f, g.data(), ya.data());
-      ref.axpy(n, 1.3f, g.data(), yb.data());
-      ExpectBitwiseEq(ya, yb, "axpy " + tag);
 
       std::vector<float> xa = x0;
       std::vector<float> xb = x0;
@@ -604,6 +632,36 @@ TEST(SimdOps, ConvBitwiseAcrossKernelSets) {
   const auto portable = ConvForwardAndGrad(&simd::PortableKernels());
   const auto dispatched = ConvForwardAndGrad(nullptr);
   ExpectBitwiseEq(portable, dispatched, "conv2d fwd+bwd across kernel sets");
+}
+
+// Conv tiles and fused-chain backward strips large enough to split across
+// pool threads (each chunk leases its own tile scratch): bitwise equal to
+// the serial run.
+std::vector<float> ParallelConvAndChain(int threads) {
+  ThreadCountGuard thread_guard;
+  exec::SetThreadCount(threads);
+  SetFusionEnabledForTesting(1);
+  Rng rng(61);
+  Tensor input =
+      Tensor::Randn({96, 4, 8, 8}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor weight = Tensor::Randn({4, 4, 3, 3}, rng, 1.0f,
+                                /*requires_grad=*/true);
+  Tensor seq = Tensor::Randn({40000}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor conv_loss = Sum(Square(Conv2d(input, weight, Tensor(), 1, 1)));
+  Tensor chain_loss = Sum(Mul(Tanh(seq), seq));
+  Add(conv_loss, chain_loss).Backward();
+  std::vector<float> out = {conv_loss.Item(), chain_loss.Item()};
+  out.insert(out.end(), input.Grad().begin(), input.Grad().end());
+  out.insert(out.end(), weight.Grad().begin(), weight.Grad().end());
+  out.insert(out.end(), seq.Grad().begin(), seq.Grad().end());
+  return out;
+}
+
+TEST(SimdOps, ConvTilesAndFusedStripsBitwiseAcrossThreadCounts) {
+  SimdOverrideGuard guard;
+  const auto serial = ParallelConvAndChain(1);
+  ExpectBitwiseEq(ParallelConvAndChain(4), serial, "4 threads vs serial");
+  ExpectBitwiseEq(ParallelConvAndChain(2), serial, "2 threads vs serial");
 }
 
 }  // namespace

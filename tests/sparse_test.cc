@@ -147,8 +147,13 @@ TEST(SparseTensorTest, FromPartsRejectsMalformedInput) {
   // escaping columns, rank != 2.
   EXPECT_FALSE(
       SparseTensor::CsrFromParts({2, 3}, {0, 1}, {0}, {1.0f}).ok());
-  EXPECT_FALSE(
-      SparseTensor::CsrFromParts({2, 3}, {0, 2, 1}, {0}, {1.0f}).ok());
+  // Non-monotone row_ptr whose first row overruns cols: rejected as
+  // non-monotone before any column is read through it.
+  const auto non_monotone =
+      SparseTensor::CsrFromParts({2, 3}, {0, 2, 1}, {0}, {1.0f});
+  ASSERT_FALSE(non_monotone.ok());
+  EXPECT_NE(non_monotone.status().message().find("not monotone"),
+            std::string::npos);
   EXPECT_FALSE(
       SparseTensor::CsrFromParts({2, 3}, {1, 1, 1}, {0}, {1.0f}).ok());
   EXPECT_FALSE(SparseTensor::CsrFromParts({2, 3}, {0, 2, 2}, {2, 1},
