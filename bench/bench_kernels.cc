@@ -6,9 +6,8 @@
 //
 // After the google-benchmark suite, main() runs a thread-scaling sweep of
 // the exec-layer kernels (1/2/4/8 threads, BENCH_parallel.json), a SIMD
-// variant sweep plus fusion-footprint measurement (BENCH_kernels.json), and
-// the roofline report (BENCH_roofline.json), all under
-// $STHSL_BENCH_JSON_DIR.
+// variant sweep (BENCH_kernels.json), and the roofline report
+// (BENCH_roofline.json), all under $STHSL_BENCH_JSON_DIR.
 
 #include <benchmark/benchmark.h>
 
@@ -23,7 +22,6 @@
 #include "exec/exec.h"
 #include "simd/simd.h"
 #include "sparse/sparse_tensor.h"
-#include "tensor/fusion.h"
 #include "tensor/optimizer.h"
 #include "tensor/sparse_ops.h"
 #include "tensor/ops.h"
@@ -175,7 +173,7 @@ void RunThreadScalingSweep() {
        [&] { benchmark::DoNotOptimize(Conv1d(c1_in, c1_w, Tensor(), 1)); }},
       {"conv1d_global_b4096",
        [&] { benchmark::DoNotOptimize(Conv1d(g1_in, g1_w, Tensor(), 1)); }},
-      {"fused_elementwise_1m",
+      {"elementwise_1m",
        [&] { benchmark::DoNotOptimize(Sigmoid(Add(Mul(ex, ey), ex))); }},
   };
   const std::vector<int> thread_counts = {1, 2, 4, 8};
@@ -234,14 +232,13 @@ void RunThreadScalingSweep() {
   bench::MaybeWriteBenchJson("parallel", json);
 }
 
-// -- ISA sweep + fusion memory bench ------------------------------------------
+// -- ISA sweep -----------------------------------------------------------------
 
 // Re-times the hot kernels under every microkernel set compiled into this
 // binary (dispatched best first, then each named variant) so the artifact
-// shows what the SIMD dispatch layer buys on this host, and measures the
-// peak tensor footprint of an elementwise chain with fusion on vs off.
-// Written to $STHSL_BENCH_JSON_DIR/BENCH_kernels.json.
-void RunIsaSweepAndFusionBench() {
+// shows what the SIMD dispatch layer buys on this host. Written to
+// $STHSL_BENCH_JSON_DIR/BENCH_kernels.json.
+void RunIsaSweep() {
   Rng rng(10);
   Tensor ga = Tensor::Randn({256, 256}, rng);
   Tensor gb = Tensor::Randn({256, 256}, rng);
@@ -252,12 +249,7 @@ void RunIsaSweepAndFusionBench() {
       {"gemm_nn_256", [&] { benchmark::DoNotOptimize(MatMul(ga, gb)); }},
       {"softmax_256", [&] { benchmark::DoNotOptimize(Softmax(logits, 1)); }},
       {"elementwise_chain_1m",
-       // .Data() forces materialization — the chain is lazy, so timing the
-       // tensor construction alone would measure nothing.
-       [&] {
-         benchmark::DoNotOptimize(
-             Sigmoid(Add(Mul(ex, ey), ex)).Data().data());
-       }},
+       [&] { benchmark::DoNotOptimize(Sigmoid(Add(Mul(ex, ey), ex))); }},
   };
   constexpr int kIters = 5;
 
@@ -304,35 +296,7 @@ void RunIsaSweepAndFusionBench() {
             entries;
     json += ki + 1 < kernels.size() ? "    ]},\n" : "    ]}\n";
   }
-  json += "  ],\n";
-
-  // Fusion footprint: a 4-step unary/binary chain on a 1M-element tensor.
-  // Eager evaluation materializes every intermediate; the fused chain
-  // allocates only the final buffer.
-  const auto peak_bytes = [&](int fusion_mode) {
-    SetFusionEnabledForTesting(fusion_mode);
-    const bool previous = obs::SetTraceEnabled(true);
-    obs::ResetProfiler();
-    benchmark::DoNotOptimize(
-        MulScalar(Sigmoid(AddScalar(Mul(ex, ey), 0.5f)), 2.0f).Data());
-    const int64_t peak = obs::PeakTensorBytes();
-    obs::ResetProfiler();
-    obs::SetTraceEnabled(previous);
-    SetFusionEnabledForTesting(-1);
-    return peak;
-  };
-  const int64_t fused_peak = peak_bytes(1);
-  const int64_t eager_peak = peak_bytes(0);
-  std::printf("fusion peak tensor bytes: fused=%lld eager=%lld (%.2fx)\n",
-              static_cast<long long>(fused_peak),
-              static_cast<long long>(eager_peak),
-              fused_peak > 0 ? static_cast<double>(eager_peak) /
-                                   static_cast<double>(fused_peak)
-                             : 0.0);
-  json += "  \"fusion\": {\"chain\": \"mul_scalar(sigmoid(add_scalar(mul(x, "
-          "y), 0.5)), 2.0) over 2^20 floats\", \"fused_peak_bytes\": " +
-          std::to_string(fused_peak) +
-          ", \"eager_peak_bytes\": " + std::to_string(eager_peak) + "}\n}\n";
+  json += "  ]\n}\n";
   bench::MaybeWriteBenchJson("kernels", json);
 }
 
@@ -518,7 +482,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   sthsl::RunThreadScalingSweep();
-  sthsl::RunIsaSweepAndFusionBench();
+  sthsl::RunIsaSweep();
   sthsl::RunRooflineBench();
   return 0;
 }

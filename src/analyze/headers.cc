@@ -1,7 +1,11 @@
 #include "analyze/headers.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <cstdio>
+#include <memory>
 
 #include "analyze/lexer.h"
 
@@ -94,17 +98,34 @@ std::vector<Finding> RunHeaderPass(const std::vector<SourceFile>& files) {
 std::vector<Finding> RunSelfContainedCheck(
     const std::string& root, const std::vector<SourceFile>& files,
     const std::string& compiler) {
-  std::vector<Finding> findings;
+  std::vector<const SourceFile*> headers;
   for (const SourceFile& file : files) {
-    if (!file.IsHeader()) continue;
-    const std::string cmd = "\"" + compiler +
-                            "\" -std=c++20 -fsyntax-only -x c++ -I \"" + root +
-                            "/src\" \"" + root + "/" + file.path +
-                            "\" 2>/dev/null";
-    if (std::system(cmd.c_str()) != 0) {
-      findings.push_back({file.path, 0, "self-contained", Severity::kError,
-                          "header does not compile standalone (" + compiler +
-                              " -std=c++20 -fsyntax-only failed)"});
+    if (file.IsHeader()) headers.push_back(&file);
+  }
+  // One compiler process per header, at most one per online CPU at a time:
+  // each batch is started with popen and then reaped in file order, so the
+  // findings keep that order whatever finishes first.
+  const long cpus = sysconf(_SC_NPROCESSORS_ONLN);
+  const size_t batch = cpus > 0 ? static_cast<size_t>(cpus) : 1;
+  std::vector<Finding> findings;
+  for (size_t begin = 0; begin < headers.size(); begin += batch) {
+    const size_t end = std::min(begin + batch, headers.size());
+    std::vector<std::unique_ptr<FILE, decltype(&pclose)>> procs;
+    for (size_t i = begin; i < end; ++i) {
+      const std::string cmd = "\"" + compiler +
+                              "\" -std=c++20 -fsyntax-only -x c++ -I \"" +
+                              root + "/src\" \"" + root + "/" +
+                              headers[i]->path + "\" >/dev/null 2>&1";
+      procs.emplace_back(popen(cmd.c_str(), "r"), &pclose);
+    }
+    for (size_t i = begin; i < end; ++i) {
+      FILE* proc = procs[i - begin].release();
+      if (proc == nullptr || pclose(proc) != 0) {
+        findings.push_back({headers[i]->path, 0, "self-contained",
+                            Severity::kError,
+                            "header does not compile standalone (" + compiler +
+                                " -std=c++20 -fsyntax-only failed)"});
+      }
     }
   }
   return findings;

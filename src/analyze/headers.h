@@ -19,9 +19,10 @@ std::vector<Finding> RunHeaderPass(const std::vector<SourceFile>& files);
 std::string ExpectedGuard(const std::string& path_in_src);
 
 /// Self-containment check: compiles each header standalone with
-/// `<compiler> -std=c++20 -fsyntax-only -I <root>/src`. Separate from
-/// RunHeaderPass because it shells out to the compiler; callers may skip
-/// it for speed or for deliberately-broken fixture trees.
+/// `<compiler> -std=c++20 -fsyntax-only -I <root>/src`, up to one compiler
+/// process per online CPU at a time, and reports failures in file order.
+/// Separate from RunHeaderPass because it shells out to the compiler;
+/// callers may skip it for speed or for deliberately-broken fixture trees.
 std::vector<Finding> RunSelfContainedCheck(const std::string& root,
                                            const std::vector<SourceFile>& files,
                                            const std::string& compiler);

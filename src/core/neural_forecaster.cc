@@ -400,12 +400,7 @@ std::vector<Tensor> NeuralForecaster::PredictWindows(
   std::vector<Tensor> predictions;
   predictions.reserve(windows.size());
   for (const Tensor& window : windows) {
-    Tensor prediction = ClampMin(Forward(window, /*training=*/false), 0.0f);
-    // Evaluate a pending elementwise chain here, so the whole computation
-    // runs (and is attributed) on the calling thread — for the serving tier
-    // the batcher worker, not the connection thread that renders the reply.
-    prediction.Data();
-    predictions.push_back(std::move(prediction));
+    predictions.push_back(ClampMin(Forward(window, /*training=*/false), 0.0f));
   }
   return predictions;
 }

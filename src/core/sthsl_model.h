@@ -53,13 +53,9 @@ struct SthslConfig {
   // rest are zeroed and — by the fixed-pattern gradient contract — stay
   // exactly zero for the lifetime of the model, so the learned structure is
   // genuinely sparse. 1.0 (default) is the classic fully dense parameter
-  // and leaves every code path untouched. When the incidence density is at
-  // or below `sparse_threshold`, HypergraphPropagate dispatches CSR SpMM
-  // kernels; above it (but below 1) a masked-dense path applies the same
-  // fixed-pattern semantics with dense GEMMs. Both paths are
-  // bitwise-identical in outputs, gradients and checkpoints.
+  // and leaves every code path untouched. Below 1, HypergraphPropagate runs
+  // CSR SpMM kernels over the stored entries.
   float hypergraph_density = 1.0f;
-  float sparse_threshold = 0.25f;
 
   TrainConfig train;
 };

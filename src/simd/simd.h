@@ -3,9 +3,9 @@
 
 // Runtime-dispatched SIMD microkernel layer.
 //
-// Every inner loop of the tensor tier (GEMM register tiles, conv tap
-// strips and dots, reductions, elementwise strips, optimizer updates) calls
-// through the MicrokernelSet selected here once at startup: AVX2+FMA on
+// The tensor tier's hot inner loops (GEMM register tiles, conv tap strips
+// and dots, reductions, softmax strips, optimizer updates) call through
+// the MicrokernelSet selected here once at startup: AVX2+FMA on
 // x86-64 CPUs that have it, and the portable scalar set everywhere else
 // (aarch64 included). The STHSL_SIMD environment variable (avx2 | portable)
 // overrides the automatic choice for A/B comparisons and debugging; tests
@@ -102,22 +102,11 @@ struct MicrokernelSet {
   float (*reduce_max)(int64_t n, const float* x);
 
   // Elementwise strips (out may alias x and/or y; same-index access only).
-  void (*add)(int64_t n, const float* x, const float* y, float* out);
-  void (*sub)(int64_t n, const float* x, const float* y, float* out);
   void (*mul)(int64_t n, const float* x, const float* y, float* out);
-  void (*div)(int64_t n, const float* x, const float* y, float* out);
   /// out[i] = x[i] + s
   void (*add_scalar)(int64_t n, const float* x, float s, float* out);
-  /// out[i] = x[i] * s
-  void (*mul_scalar)(int64_t n, const float* x, float s, float* out);
   /// out[i] = x[i] / s  (true division — not multiplication by 1/s)
   void (*div_scalar)(int64_t n, const float* x, float s, float* out);
-  /// out[i] = x[i] > 0 ? x[i] : 0
-  void (*relu)(int64_t n, const float* x, float* out);
-  /// out[i] = x[i] > 0 ? x[i] : slope * x[i]
-  void (*leaky_relu)(int64_t n, const float* x, float slope, float* out);
-  /// out[i] = x[i] > floor ? x[i] : floor
-  void (*clamp_min)(int64_t n, const float* x, float floor, float* out);
 
   // Optimizer updates (canonical formulas; see portable.cc).
   /// grad = fma(wd, x, g); x = fma(-lr, grad, x)

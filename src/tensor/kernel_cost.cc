@@ -65,21 +65,6 @@ int64_t SpmmCells(const std::vector<Tensor>& inputs,
   return inputs[0].Numel() * out_shape[1];
 }
 
-// Step count K of a "fused_elemwise<K>" chain op, or 0 for other names.
-int64_t FusedChainSteps(const std::string& name) {
-  constexpr const char kPrefix[] = "fused_elemwise";
-  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
-  if (name.compare(0, kPrefixLen, kPrefix) != 0 || name.size() == kPrefixLen) {
-    return 0;
-  }
-  int64_t k = 0;
-  for (size_t i = kPrefixLen; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return 0;
-    k = k * 10 + (name[i] - '0');
-  }
-  return k;
-}
-
 int64_t SumInputNumels(const std::vector<Tensor>& inputs) {
   int64_t n = 0;
   for (const auto& input : inputs) {
@@ -101,7 +86,6 @@ int64_t ForwardOpFlops(const std::string& op_name,
   if (IsBinaryElementwise(op_name) || IsUnaryElementwise(op_name)) {
     return out_numel;
   }
-  if (const int64_t k = FusedChainSteps(op_name)) return k * out_numel;
   if (IsReduction(op_name)) return SumInputNumels(inputs);
   return 0;
 }
@@ -123,8 +107,6 @@ int64_t BackwardOpFlops(const std::string& op_name,
   if (IsBinaryElementwise(op_name) || IsUnaryElementwise(op_name)) {
     return 2 * out_numel;
   }
-  // Fused chains recompute the K forward steps, then run K backward steps.
-  if (const int64_t k = FusedChainSteps(op_name)) return 2 * k * out_numel;
   return 0;
 }
 

@@ -4,11 +4,11 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <type_traits>
 
 #include "exec/exec.h"
 #include "simd/simd.h"
 #include "tensor/debug_validator.h"
-#include "tensor/fusion.h"
 #include "tensor/strided.h"
 #include "util/check.h"
 
@@ -118,13 +118,21 @@ Tensor BroadcastBinary(const char* name, const Tensor& a, const Tensor& b,
               layout.ForEachRun(
                   lo, hi, [&](int64_t i, int64_t len, const auto& off) {
                     const float* gi = gv + i;
-                    float* gai = need_a ? ga_full.data() + i : nullptr;
-                    float* gbi = need_b ? gb_full.data() + i : nullptr;
-                    ForEachStridedPair(av + off[0], sa, bv + off[1], sb, len,
-                                       [&](int64_t j, float x, float y) {
-                                         if (gai) gai[j] = gi[j] * dx(x, y);
-                                         if (gbi) gbi[j] = gi[j] * dy(x, y);
-                                       });
+                    // One pass per gradient keeps each loop branch-free.
+                    if (need_a) {
+                      float* gai = ga_full.data() + i;
+                      ForEachStridedPair(av + off[0], sa, bv + off[1], sb,
+                                         len, [&](int64_t j, float x, float y) {
+                                           gai[j] = gi[j] * dx(x, y);
+                                         });
+                    }
+                    if (need_b) {
+                      float* gbi = gb_full.data() + i;
+                      ForEachStridedPair(av + off[0], sa, bv + off[1], sb,
+                                         len, [&](int64_t j, float x, float y) {
+                                           gbi[j] = gi[j] * dy(x, y);
+                                         });
+                    }
                   });
             },
             "exec/elementwise");
@@ -159,34 +167,50 @@ std::vector<float> CopyLayout(const StridedLayout<1>& layout, const float* src,
   return out;
 }
 
-// Generic elementwise unary op with local derivative `df(x, fx)`.
+// Generic elementwise unary op. `df` is the local derivative, called as
+// `df(x)` or, for ops whose derivative is cheapest in terms of the output,
+// `df(x, fx)`. The output is not kept for the backward: a two-argument `df`
+// recomputes fx = fwd(x) there, which is bitwise the forward value, so an
+// inference call (no backward) allocates one buffer, not two, and a
+// one-argument `df` pays no recompute at all.
+//
+// The chunk loops copy the functors into locals: a captured scalar (a slope,
+// a floor) read through a reference could alias the float output, which
+// forces a reload per element and keeps the loop from vectorizing.
 template <typename Fwd, typename Df>
 Tensor UnaryOp(const char* name, const Tensor& a, Fwd fwd, Df df) {
   const int64_t n = a.Numel();
   std::vector<float> out(static_cast<size_t>(n));
-  const auto& av = a.Data();
+  const float* av = a.Data().data();
+  float* ov = out.data();
   exec::ParallelFor(
       0, n, kElemGrain,
       [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) out[i] = fwd(av[i]);
+        const Fwd f = fwd;
+        for (int64_t i = lo; i < hi; ++i) ov[i] = f(av[i]);
       },
       "exec/elementwise");
 
   Tensor a_captured = a;
-  Tensor fx = Tensor::FromVector(a.Shape(), out);  // detached copy of outputs
   return MakeResult(
       a.Shape(), std::move(out), name, {a},
-      [a_captured, fx, df](const Tensor& g) -> std::vector<Tensor> {
+      [a_captured, fwd, df](const Tensor& g) -> std::vector<Tensor> {
         const int64_t n = a_captured.Numel();
-        const auto& gv = g.Data();
-        const auto& av = a_captured.Data();
-        const auto& fv = fx.Data();
+        const float* gv = g.Data().data();
+        const float* av = a_captured.Data().data();
         std::vector<float> ga(static_cast<size_t>(n));
+        float* gav = ga.data();
         exec::ParallelFor(
             0, n, kElemGrain,
             [&](int64_t lo, int64_t hi) {
+              const Fwd f = fwd;
+              const Df d = df;
               for (int64_t i = lo; i < hi; ++i) {
-                ga[i] = gv[i] * df(av[i], fv[i]);
+                if constexpr (std::is_invocable_v<Df, float, float>) {
+                  gav[i] = gv[i] * d(av[i], f(av[i]));
+                } else {
+                  gav[i] = gv[i] * d(av[i]);
+                }
               }
             },
             "exec/elementwise");
@@ -197,28 +221,20 @@ Tensor UnaryOp(const char* name, const Tensor& a, Fwd fwd, Df df) {
 }  // namespace
 
 // -- Binary -------------------------------------------------------------------
-//
-// Each elementwise op first offers itself to the fusion layer: same-shape
-// chains build a pending FusedChain (one loop nest, no intermediates — see
-// tensor/fusion.h) and only fall through to the eager kernels below when
-// fusion is off or the shapes broadcast.
 
 Tensor Add(const Tensor& a, const Tensor& b) {
-  if (Tensor f = TryFuseBinary(FusedOp::kAdd, a, b); f.Defined()) return f;
   return BroadcastBinary(
       "add", a, b, [](float x, float y) { return x + y; },
       [](float, float) { return 1.0f; }, [](float, float) { return 1.0f; });
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
-  if (Tensor f = TryFuseBinary(FusedOp::kSub, a, b); f.Defined()) return f;
   return BroadcastBinary(
       "sub", a, b, [](float x, float y) { return x - y; },
       [](float, float) { return 1.0f; }, [](float, float) { return -1.0f; });
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
-  if (Tensor f = TryFuseBinary(FusedOp::kMul, a, b); f.Defined()) return f;
   return BroadcastBinary(
       "mul", a, b, [](float x, float y) { return x * y; },
       [](float, float y) { return y; }, [](float x, float) { return x; });
@@ -229,7 +245,6 @@ Tensor Div(const Tensor& a, const Tensor& b) {
     ValidateOpInput("div", "a", a);
     ValidateOpInput("div", "b", b);
   }
-  if (Tensor f = TryFuseBinary(FusedOp::kDiv, a, b); f.Defined()) return f;
   return BroadcastBinary(
       "div", a, b, [](float x, float y) { return x / y; },
       [](float, float y) { return 1.0f / y; },
@@ -237,30 +252,26 @@ Tensor Div(const Tensor& a, const Tensor& b) {
 }
 
 Tensor AddScalar(const Tensor& a, float s) {
-  if (Tensor f = TryFuseUnary(FusedOp::kAddScalar, a, s); f.Defined()) return f;
   return UnaryOp(
       "add_scalar", a, [s](float x) { return x + s; },
-      [](float, float) { return 1.0f; });
+      [](float) { return 1.0f; });
 }
 
 Tensor MulScalar(const Tensor& a, float s) {
-  if (Tensor f = TryFuseUnary(FusedOp::kMulScalar, a, s); f.Defined()) return f;
   return UnaryOp(
       "mul_scalar", a, [s](float x) { return x * s; },
-      [s](float, float) { return s; });
+      [s](float) { return s; });
 }
 
 // -- Unary --------------------------------------------------------------------
 
 Tensor Neg(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kNeg, a); f.Defined()) return f;
   return UnaryOp(
       "neg", a, [](float x) { return -x; },
-      [](float, float) { return -1.0f; });
+      [](float) { return -1.0f; });
 }
 
 Tensor Exp(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kExp, a); f.Defined()) return f;
   return UnaryOp(
       "exp", a, [](float x) { return std::exp(x); },
       [](float, float fx) { return fx; });
@@ -268,48 +279,40 @@ Tensor Exp(const Tensor& a) {
 
 Tensor Log(const Tensor& a) {
   if (DebugChecksEnabled()) ValidateOpInput("log", "a", a);
-  if (Tensor f = TryFuseUnary(FusedOp::kLog, a); f.Defined()) return f;
   return UnaryOp(
       "log", a, [](float x) { return std::log(std::max(x, 1e-12f)); },
-      [](float x, float) { return 1.0f / std::max(x, 1e-12f); });
+      [](float x) { return 1.0f / std::max(x, 1e-12f); });
 }
 
 Tensor Sqrt(const Tensor& a) {
   if (DebugChecksEnabled()) ValidateOpInput("sqrt", "a", a);
-  if (Tensor f = TryFuseUnary(FusedOp::kSqrt, a); f.Defined()) return f;
   return UnaryOp(
       "sqrt", a, [](float x) { return std::sqrt(x); },
       [](float, float fx) { return 0.5f / std::max(fx, 1e-12f); });
 }
 
 Tensor Abs(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kAbs, a); f.Defined()) return f;
   return UnaryOp(
       "abs", a, [](float x) { return std::fabs(x); },
-      [](float x, float) { return x >= 0.0f ? 1.0f : -1.0f; });
+      [](float x) { return x >= 0.0f ? 1.0f : -1.0f; });
 }
 
 Tensor PowScalar(const Tensor& a, float exponent) {
-  if (Tensor f = TryFuseUnary(FusedOp::kPowScalar, a, exponent); f.Defined()) {
-    return f;
-  }
   return UnaryOp(
       "pow_scalar", a,
       [exponent](float x) { return std::pow(x, exponent); },
-      [exponent](float x, float) {
+      [exponent](float x) {
         return exponent * std::pow(x, exponent - 1.0f);
       });
 }
 
 Tensor Square(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kSquare, a); f.Defined()) return f;
   return UnaryOp(
       "square", a, [](float x) { return x * x; },
-      [](float x, float) { return 2.0f * x; });
+      [](float x) { return 2.0f * x; });
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kSigmoid, a); f.Defined()) return f;
   return UnaryOp(
       "sigmoid", a,
       [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
@@ -317,42 +320,33 @@ Tensor Sigmoid(const Tensor& a) {
 }
 
 Tensor Tanh(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kTanh, a); f.Defined()) return f;
   return UnaryOp(
       "tanh", a, [](float x) { return std::tanh(x); },
       [](float, float fx) { return 1.0f - fx * fx; });
 }
 
 Tensor Relu(const Tensor& a) {
-  if (Tensor f = TryFuseUnary(FusedOp::kRelu, a); f.Defined()) return f;
   return UnaryOp(
       "relu", a, [](float x) { return x > 0.0f ? x : 0.0f; },
-      [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
+      [](float x) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 
 Tensor LeakyRelu(const Tensor& a, float negative_slope) {
-  if (Tensor f = TryFuseUnary(FusedOp::kLeakyRelu, a, negative_slope);
-      f.Defined()) {
-    return f;
-  }
   return UnaryOp(
       "leaky_relu", a,
       [negative_slope](float x) {
         return x > 0.0f ? x : negative_slope * x;
       },
-      [negative_slope](float x, float) {
+      [negative_slope](float x) {
         return x > 0.0f ? 1.0f : negative_slope;
       });
 }
 
 Tensor ClampMin(const Tensor& a, float floor) {
-  if (Tensor f = TryFuseUnary(FusedOp::kClampMin, a, floor); f.Defined()) {
-    return f;
-  }
   return UnaryOp(
       "clamp_min", a,
       [floor](float x) { return x > floor ? x : floor; },
-      [floor](float x, float) { return x > floor ? 1.0f : 0.0f; });
+      [floor](float x) { return x > floor ? 1.0f : 0.0f; });
 }
 
 Tensor Dropout(const Tensor& a, float p, Rng& rng, bool training) {
@@ -489,6 +483,7 @@ Tensor Mean(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
   int64_t count = 1;
   for (int64_t d : dims) {
     if (d < 0) d += rank;
+    STHSL_CHECK(d >= 0 && d < rank) << "Mean dim out of range";
     count *= shape[static_cast<size_t>(d)];
   }
   STHSL_CHECK_GT(count, 0);

@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "tensor/debug_validator.h"
-#include "tensor/fusion.h"
 #include "tensor/kernel_cost.h"
 #include "util/check.h"
 #include "util/obs/obs.h"
@@ -167,13 +166,11 @@ Tensor& Tensor::SetRequiresGrad(bool value) {
 
 const std::vector<float>& Tensor::Data() const {
   STHSL_CHECK(Defined());
-  MaterializePending(*impl_);
   return impl_->values();
 }
 
 std::vector<float>& Tensor::MutableData() {
   STHSL_CHECK(Defined());
-  MaterializePending(*impl_);
   if (impl_->storage.use_count() > 1) {
     impl_->storage = std::make_shared<TensorStorage>(impl_->values());
   }
@@ -187,7 +184,6 @@ const std::vector<float>& Tensor::Grad() const {
 
 std::vector<float>& Tensor::MutableGrad() {
   STHSL_CHECK(Defined());
-  MaterializePending(*impl_);
   if (impl_->grad.empty()) impl_->grad.assign(impl_->values().size(), 0.0f);
   return impl_->grad;
 }
@@ -199,13 +195,11 @@ void Tensor::ZeroGrad() {
 
 float Tensor::Item() const {
   STHSL_CHECK_EQ(Numel(), 1) << "Item() requires a 1-element tensor";
-  MaterializePending(*impl_);
   return impl_->values()[0];
 }
 
 float Tensor::At(int64_t flat_index) const {
   STHSL_CHECK(Defined());
-  MaterializePending(*impl_);
   STHSL_CHECK(flat_index >= 0 &&
               flat_index < static_cast<int64_t>(impl_->values().size()))
       << "flat index out of range: " << flat_index;
@@ -213,7 +207,6 @@ float Tensor::At(int64_t flat_index) const {
 }
 
 float Tensor::At(const std::vector<int64_t>& index) const {
-  MaterializePending(*impl_);
   const auto& shape = Shape();
   STHSL_CHECK_EQ(index.size(), shape.size());
   const auto strides = StridesOf(shape);
@@ -244,7 +237,6 @@ namespace {
 
 void AccumulateGrad(const std::shared_ptr<TensorImpl>& impl,
                     const Tensor& grad) {
-  MaterializePending(*impl);
   if (DebugChecksEnabled()) ValidateGradAccumulation(*impl, grad);
   const size_t n = impl->values().size();
   STHSL_CHECK_EQ(static_cast<int64_t>(n), grad.Numel())
@@ -288,9 +280,6 @@ void Tensor::Backward(const Tensor& seed) const {
   STHSL_CHECK(Defined());
   STHSL_CHECK(impl_->requires_grad || impl_->grad_fn)
       << "Backward on a tensor that is not part of an autograd graph";
-  // Evaluate a pending loss before the pass starts, so its forward cost is
-  // attributed as forward work rather than inside the backward guard below.
-  MaterializePending(*impl_);
 
   Tensor initial = seed;
   if (!initial.Defined()) {
@@ -363,7 +352,6 @@ void Tensor::Backward(const Tensor& seed) const {
 
 std::string Tensor::ToString() const {
   if (!Defined()) return "Tensor(undefined)";
-  MaterializePending(*impl_);
   std::ostringstream os;
   os << "Tensor(shape=[";
   for (size_t i = 0; i < impl_->shape.size(); ++i) {

@@ -13,7 +13,6 @@ namespace sthsl {
 
 class Tensor;
 struct GradNode;
-struct FusedChain;
 
 /// Reference-counted float32 value buffer. Reshape views share their
 /// source's storage, so the observability layer's tensor-memory accounting
@@ -37,14 +36,8 @@ struct TensorStorage {
 struct TensorImpl {
   std::vector<int64_t> shape;
 
-  /// Row-major values, possibly shared with views. Null while pending.
+  /// Row-major values, possibly shared with views.
   std::shared_ptr<TensorStorage> storage;
-
-  /// Non-null for a *pending* tensor: `storage` is unset and the values are
-  /// an unevaluated elementwise chain (see tensor/fusion.h). Every value
-  /// accessor materializes the chain first, so pending state never escapes
-  /// this layer.
-  std::shared_ptr<FusedChain> pending;
 
   /// True for leaf tensors the user asked gradients for, and for any tensor
   /// produced from such a leaf while gradient recording is enabled.
@@ -57,7 +50,7 @@ struct TensorImpl {
   /// Non-null for non-leaf tensors: records how to backpropagate.
   std::shared_ptr<GradNode> grad_fn;
 
-  /// Value buffer of a materialized impl.
+  /// Value buffer.
   const std::vector<float>& values() const { return storage->values; }
 };
 
@@ -199,8 +192,7 @@ Tensor MakeResult(std::vector<int64_t> shape, std::vector<float> data,
                   std::function<std::vector<Tensor>(const Tensor&)> backward);
 
 /// Helper for view ops: like MakeResult, but the result shares `source`'s
-/// value buffer (materializing a pending source first) instead of owning
-/// new data. The profiler records the op with zero bytes moved.
+/// value buffer instead of owning new data. The profiler records the op with zero bytes moved.
 Tensor MakeView(std::vector<int64_t> shape, const Tensor& source,
                 std::string op_name,
                 std::function<std::vector<Tensor>(const Tensor&)> backward);

@@ -141,6 +141,67 @@ TEST(Autograd, PowScalarGrad) {
       {RandLeaf({3}, rng, 0.5f, 1.5f)});
 }
 
+// Two chains of same-shape elementwise ops over tail sizes, as the model
+// strings them together. With the cases above and below they gradcheck
+// all 18 elementwise ops: add, sub, mul, div, add_scalar, mul_scalar,
+// neg, exp, log, sqrt, abs, square, pow_scalar, sigmoid, tanh, relu,
+// leaky_relu and clamp_min.
+TEST(Autograd, ElementwiseChainsGradOverTailSizes) {
+  for (int64_t n : {int64_t{1}, int64_t{3}, int64_t{7}, int64_t{17},
+                    int64_t{63}}) {
+    Rng rng(static_cast<uint64_t>(40 + n));
+    // Values bounded away from div-by-zero and the log/sqrt floors.
+    Tensor a = Tensor::Rand({n}, rng, 0.3f, 1.4f, /*requires_grad=*/true);
+    Tensor b = Tensor::Rand({n}, rng, 0.6f, 1.8f, /*requires_grad=*/true);
+    ExpectGradMatchesNumeric(
+        [](const std::vector<Tensor>& in) {
+          Tensor z = Mul(in[0], in[1]);
+          z = AddScalar(z, 0.4f);
+          z = Sigmoid(z);
+          z = Div(z, in[1]);
+          z = Tanh(z);
+          return Sum(z);
+        },
+        {a, b});
+    ExpectGradMatchesNumeric(
+        [](const std::vector<Tensor>& in) {
+          Tensor z = Exp(MulScalar(in[0], 0.5f));
+          z = Log(z);
+          z = Sqrt(z);
+          z = Square(z);
+          z = Sub(z, in[1]);
+          return Sum(Square(z));
+        },
+        {a, b});
+  }
+}
+
+// The piecewise ops on both sides of their kinks (0 for relu, abs and
+// leaky_relu; 0.25 for the clamp), with inputs kept at least 0.15 away.
+TEST(Autograd, PiecewiseAndScalarElementwiseGradOverTailSizes) {
+  for (int64_t n : {int64_t{1}, int64_t{3}, int64_t{7}, int64_t{17},
+                    int64_t{63}}) {
+    Rng rng(static_cast<uint64_t>(60 + n));
+    std::vector<float> values(static_cast<size_t>(n));
+    for (size_t i = 0; i < values.size(); ++i) {
+      const float magnitude = static_cast<float>(rng.Uniform(0.4, 1.6));
+      values[i] = i % 2 == 0 ? magnitude : -magnitude;
+    }
+    Tensor x = Tensor::FromVector({n}, values, /*requires_grad=*/true);
+    ExpectGradMatchesNumeric(
+        [](const std::vector<Tensor>& in) {
+          const Tensor& v = in[0];
+          Tensor z = Add(Relu(v), MulScalar(Abs(v), 0.5f));
+          z = Add(z, ClampMin(v, 0.25f));
+          z = Add(z, Neg(Square(v)));
+          z = Add(z, LeakyRelu(v, 0.2f));
+          z = Add(z, PowScalar(Abs(v), 3.0f));
+          return Sum(MulScalar(AddScalar(z, 0.3f), 1.7f));
+        },
+        {x});
+  }
+}
+
 TEST(Autograd, MatMulGrad) {
   Rng rng(20);
   ExpectGradMatchesNumeric(
@@ -306,6 +367,23 @@ TEST(AutogradStructure, ReusedTensorGetsBothContributions) {
   Tensor y = Sum(x + x);  // dy/dx = 2
   y.Backward();
   EXPECT_FLOAT_EQ(x.Grad()[0], 2.0f);
+}
+
+// One tensor read by two consumers, one of which reads it twice: its
+// gradient is the sum of every consumer's contribution.
+TEST(AutogradStructure, SharedInputSumsEveryConsumersGradient) {
+  Rng rng(14);
+  Tensor a = Tensor::Randn({33}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor h = Relu(a);
+  Tensor loss = Add(Sum(Tanh(h)), Sum(Mul(h, h)));
+  loss.Backward();
+  for (int64_t i = 0; i < a.Numel(); ++i) {
+    const float x = a.At(i);
+    const float hv = x > 0.0f ? x : 0.0f;
+    const float t = std::tanh(hv);
+    const float want = x > 0.0f ? (1.0f - t * t) + (hv + hv) : 0.0f;
+    EXPECT_NEAR(a.Grad()[static_cast<size_t>(i)], want, 1e-6f) << i;
+  }
 }
 
 TEST(AutogradStructure, DetachBlocksGradient) {

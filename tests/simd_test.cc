@@ -1,5 +1,5 @@
 // Tests for the runtime-dispatched SIMD microkernel layer (src/simd) and the
-// eager elementwise-chain fusion built on top of it (tensor/fusion.h):
+// elementwise ops that sit beside it:
 //
 //  - dispatch: portable always present, unknown names rejected, the selected
 //    set matches the detected CPU, the test override works;
@@ -9,17 +9,15 @@
 //    counts 1-36 — the executable form of the simd.h contract;
 //  - GEMM: the blocked driver matches a plain ascending-fma reference
 //    bitwise, including K larger than the cache block;
-//  - fusion: chains collapse to one autograd node, forward/backward are
-//    bitwise identical to the unfused graph, gradcheck passes, broadcasts
-//    fall back to eager, intermediate allocations disappear;
-//  - thread invariance: vectorized and fused paths, conv tiles and fused
-//    backward strips are bitwise stable across thread counts.
+//  - elementwise chains: forward and grads bitwise stable across thread
+//    counts and kernel sets, at sizes on both sides of the parallel grain;
+//  - thread invariance: softmax, conv tiles and elementwise chunks are
+//    bitwise stable across thread counts.
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -27,10 +25,8 @@
 
 #include "exec/exec.h"
 #include "simd/simd.h"
-#include "tensor/fusion.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
-#include "util/obs/obs.h"
 #include "util/rng.h"
 
 namespace sthsl {
@@ -83,13 +79,10 @@ class ThreadCountGuard {
   int previous_;
 };
 
-// Restores the default kernel set and fusion mode on scope exit.
+// Restores the default kernel set on scope exit.
 class SimdOverrideGuard {
  public:
-  ~SimdOverrideGuard() {
-    simd::SetKernelsForTesting(nullptr);
-    SetFusionEnabledForTesting(-1);
-  }
+  ~SimdOverrideGuard() { simd::SetKernelsForTesting(nullptr); }
 };
 
 // ---------------------------------------------------------------- dispatch --
@@ -139,51 +132,27 @@ TEST(SimdParity, ElementwiseBitwiseAcrossVariantsAndTails) {
   for (const auto* ks : CompiledVariants()) {
     for (int64_t n : TailSizes()) {
       const std::vector<float> x = RandomValues(n, 100 + n);
-      const std::vector<float> y =
-          RandomValues(n, 200 + n, 0.5f, 2.0f);  // away from 0 for div
+      const std::vector<float> y = RandomValues(n, 200 + n, 0.5f, 2.0f);
       const std::string tag =
           std::string(ks->name) + " n=" + std::to_string(n);
 
       std::vector<float> got(x.size());
       std::vector<float> want(x.size());
-      ref.add(n, x.data(), y.data(), want.data());
-      ks->add(n, x.data(), y.data(), got.data());
-      ExpectBitwiseEq(got, want, "add " + tag);
-      ref.sub(n, x.data(), y.data(), want.data());
-      ks->sub(n, x.data(), y.data(), got.data());
-      ExpectBitwiseEq(got, want, "sub " + tag);
       ref.mul(n, x.data(), y.data(), want.data());
       ks->mul(n, x.data(), y.data(), got.data());
       ExpectBitwiseEq(got, want, "mul " + tag);
-      ref.div(n, x.data(), y.data(), want.data());
-      ks->div(n, x.data(), y.data(), got.data());
-      ExpectBitwiseEq(got, want, "div " + tag);
-
       ref.add_scalar(n, x.data(), 0.37f, want.data());
       ks->add_scalar(n, x.data(), 0.37f, got.data());
       ExpectBitwiseEq(got, want, "add_scalar " + tag);
-      ref.mul_scalar(n, x.data(), -1.71f, want.data());
-      ks->mul_scalar(n, x.data(), -1.71f, got.data());
-      ExpectBitwiseEq(got, want, "mul_scalar " + tag);
       ref.div_scalar(n, x.data(), 3.0f, want.data());
       ks->div_scalar(n, x.data(), 3.0f, got.data());
       ExpectBitwiseEq(got, want, "div_scalar " + tag);
 
-      ref.relu(n, x.data(), want.data());
-      ks->relu(n, x.data(), got.data());
-      ExpectBitwiseEq(got, want, "relu " + tag);
-      ref.leaky_relu(n, x.data(), 0.01f, want.data());
-      ks->leaky_relu(n, x.data(), 0.01f, got.data());
-      ExpectBitwiseEq(got, want, "leaky_relu " + tag);
-      ref.clamp_min(n, x.data(), 0.25f, want.data());
-      ks->clamp_min(n, x.data(), 0.25f, got.data());
-      ExpectBitwiseEq(got, want, "clamp_min " + tag);
-
       // Aliased in-place form (out == x) must match the out-of-place result.
       std::vector<float> inplace = x;
-      ks->add(n, inplace.data(), y.data(), inplace.data());
-      ref.add(n, x.data(), y.data(), want.data());
-      ExpectBitwiseEq(inplace, want, "add aliased " + tag);
+      ks->mul(n, inplace.data(), y.data(), inplace.data());
+      ref.mul(n, x.data(), y.data(), want.data());
+      ExpectBitwiseEq(inplace, want, "mul aliased " + tag);
     }
   }
 }
@@ -370,69 +339,18 @@ TEST(GemmBitwise, ForwardAndGradsIdenticalAcrossKernelSets) {
   ExpectBitwiseEq(portable, dispatched, "matmul fwd+bwd across kernel sets");
 }
 
-// ---------------------------------------------------------------- fusion --
+// ------------------------------------------------------ elementwise chain --
 
-TEST(Fusion, ChainCollapsesToOneAutogradNode) {
-  SimdOverrideGuard guard;
-  SetFusionEnabledForTesting(1);
-  Rng rng(11);
-  // The prefix of the chain is grad-free, so it stays lazy and keeps
-  // extending; the grad-carrying rhs arrives in the last step, giving one
-  // fused node covering all three steps.
-  Tensor a = Tensor::Randn({4, 8}, rng, 1.0f);
-  Tensor b = Tensor::Randn({4, 8}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor z = Mul(Relu(AddScalar(a, 0.5f)), b);
-  ASSERT_NE(z.GradFn(), nullptr);
-  EXPECT_EQ(z.GradFn()->op_name, "fused_elemwise3");
-  // Inputs are [root, rhs...]: a and b; the AddScalar/Relu prefix tensors
-  // never become inputs (and are never materialized).
-  EXPECT_EQ(z.GradFn()->inputs.size(), 2u);
-}
-
-TEST(Fusion, ChainSplitsAtGradGraphBoundaries) {
-  SimdOverrideGuard guard;
-  SetFusionEnabledForTesting(1);
-  Rng rng(11);
-  Tensor a = Tensor::Randn({4, 8}, rng, 1.0f, /*requires_grad=*/true);
-  // Every intermediate carries grad, so extending through it would change
-  // how consumer gradients associate; each op must get its own node.
-  Tensor z = Relu(AddScalar(Square(a), 0.5f));
-  ASSERT_NE(z.GradFn(), nullptr);
-  EXPECT_EQ(z.GradFn()->op_name, "fused_elemwise1");
-  ASSERT_EQ(z.GradFn()->inputs.size(), 1u);
-  const auto& mid = z.GradFn()->inputs[0];
-  ASSERT_NE(mid.GradFn(), nullptr);
-  EXPECT_EQ(mid.GradFn()->op_name, "fused_elemwise1");
-  // Under NoGradGuard the same expression collapses back into one chain.
-  {
-    NoGradGuard no_grad;
-    Tensor w = Relu(AddScalar(Square(a), 0.5f));
-    EXPECT_EQ(w.GradFn(), nullptr);
-  }
-}
-
-TEST(Fusion, BroadcastBinaryFallsBackToEager) {
-  SimdOverrideGuard guard;
-  SetFusionEnabledForTesting(1);
-  Rng rng(12);
-  Tensor a = Tensor::Randn({4, 8}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor row = Tensor::Randn({1, 8}, rng, 1.0f);
-  Tensor z = Add(a, row);
-  ASSERT_NE(z.GradFn(), nullptr);
-  EXPECT_EQ(z.GradFn()->op_name, "add");
-}
-
-std::vector<float> ChainForwardAndGrads(int fusion_mode, int threads) {
+// A z-score -> bias -> activation -> mask pipeline of same-shape elementwise
+// ops, forward and backward, on `numel` elements. Sizes straddle the
+// 16384-element parallel grain so chunked and inline runs both appear.
+std::vector<float> ChainForwardAndGrads(int threads, int64_t numel) {
   ThreadCountGuard thread_guard;
   exec::SetThreadCount(threads);
-  SetFusionEnabledForTesting(fusion_mode);
-  Rng rng(13);
-  // Odd numel (3*7*17 = 357) so vector paths hit scalar tails.
-  Tensor a = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor b = Tensor::Randn({3, 7, 17}, rng, 1.0f, /*requires_grad=*/true);
-  Tensor mask = Tensor::Rand({3, 7, 17}, rng, 0.5f, 1.5f);
-  // A z-score -> bias -> activation -> mask pipeline plus a tail that forces
-  // a chain split (> kMaxFusedSteps steps in total).
+  Rng rng(static_cast<uint64_t>(13 + numel));
+  Tensor a = Tensor::Randn({numel}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor b = Tensor::Randn({numel}, rng, 1.0f, /*requires_grad=*/true);
+  Tensor mask = Tensor::Rand({numel}, rng, 0.5f, 1.5f);
   Tensor z = Mul(a, b);
   z = AddScalar(z, 0.25f);
   z = Tanh(z);
@@ -441,7 +359,7 @@ std::vector<float> ChainForwardAndGrads(int fusion_mode, int threads) {
   z = MulScalar(z, 1.5f);
   z = Sub(z, b);
   z = Square(z);
-  z = LeakyRelu(z, 0.01f);  // step 9: exceeds kMaxFusedSteps, splits chain
+  z = LeakyRelu(z, 0.01f);
   z = AddScalar(z, 0.125f);
   Tensor loss = Sum(z);
   loss.Backward();
@@ -451,131 +369,31 @@ std::vector<float> ChainForwardAndGrads(int fusion_mode, int threads) {
   return out;
 }
 
-TEST(Fusion, ForwardAndGradsBitwiseEqualUnfused) {
-  SimdOverrideGuard guard;
-  const auto fused = ChainForwardAndGrads(/*fusion_mode=*/1, /*threads=*/1);
-  const auto eager = ChainForwardAndGrads(/*fusion_mode=*/0, /*threads=*/1);
-  ExpectBitwiseEq(fused, eager, "fused vs eager chain");
+const std::vector<int64_t>& ChainSizes() {
+  // 3*7*17 (odd, far below the grain), one either side of it, 2+ chunks.
+  static const std::vector<int64_t> sizes = {357, 16383, 16385, 40000};
+  return sizes;
 }
 
-TEST(Fusion, FusedChainBitwiseStableAcrossThreadCounts) {
-  SimdOverrideGuard guard;
-  const auto serial = ChainForwardAndGrads(/*fusion_mode=*/1, /*threads=*/1);
-  EXPECT_EQ(serial, ChainForwardAndGrads(1, 4));
-  EXPECT_EQ(serial, ChainForwardAndGrads(1, 8));
-}
-
-TEST(Fusion, FusedChainBitwiseEqualAcrossKernelSets) {
-  SimdOverrideGuard guard;
-  simd::SetKernelsForTesting(&simd::PortableKernels());
-  const auto portable = ChainForwardAndGrads(1, 1);
-  simd::SetKernelsForTesting(nullptr);
-  const auto dispatched = ChainForwardAndGrads(1, 1);
-  ExpectBitwiseEq(portable, dispatched, "fused chain across kernel sets");
-}
-
-TEST(Fusion, SharedPrefixAccumulatesGradientsFromBothConsumers) {
-  SimdOverrideGuard guard;
-  const auto run = [](int fusion_mode) {
-    SetFusionEnabledForTesting(fusion_mode);
-    Rng rng(14);
-    Tensor a = Tensor::Randn({33}, rng, 1.0f, /*requires_grad=*/true);
-    // `h` is consumed twice: extended into a longer chain AND used directly.
-    Tensor h = Relu(a);
-    Tensor loss = Add(Sum(Tanh(h)), Sum(Mul(h, h)));
-    loss.Backward();
-    std::vector<float> out = {loss.Item()};
-    out.insert(out.end(), a.Grad().begin(), a.Grad().end());
-    return out;
-  };
-  ExpectBitwiseEq(run(1), run(0), "shared prefix grads");
-}
-
-TEST(Fusion, RemovesIntermediateAllocations) {
-  SimdOverrideGuard guard;
-  const auto peak_bytes = [](int fusion_mode) {
-    SetFusionEnabledForTesting(fusion_mode);
-    Rng rng(15);
-    Tensor a = Tensor::Randn({64, 64}, rng);
-    const bool previous = obs::SetTraceEnabled(true);
-    obs::ResetProfiler();
-    {
-      NoGradGuard no_grad;
-      Tensor z = MulScalar(AddScalar(Tanh(MulScalar(a, 0.5f)), 1.0f), 0.25f);
-      (void)z.Data();
-    }
-    const int64_t peak = obs::PeakTensorBytes();
-    obs::ResetProfiler();
-    obs::SetTraceEnabled(previous);
-    return peak;
-  };
-  const int64_t fused_peak = peak_bytes(1);
-  const int64_t eager_peak = peak_bytes(0);
-  // Eager materializes every intermediate; the fused chain allocates only
-  // the final output buffer.
-  EXPECT_LT(fused_peak, eager_peak);
-}
-
-// Central-difference gradcheck over fused chains (mirrors autograd_test.cc).
-void ExpectGradMatchesNumeric(
-    const std::function<Tensor(const std::vector<Tensor>&)>& fn,
-    std::vector<Tensor> inputs, float eps = 1e-2f, float tol = 2e-2f) {
-  Tensor out = fn(inputs);
-  ASSERT_EQ(out.Numel(), 1) << "gradcheck requires a scalar objective";
-  for (auto& t : inputs) t.ZeroGrad();
-  out.Backward();
-  for (size_t which = 0; which < inputs.size(); ++which) {
-    auto& t = inputs[which];
-    ASSERT_FALSE(t.Grad().empty()) << "no gradient to input " << which;
-    for (int64_t i = 0; i < t.Numel(); ++i) {
-      const float saved = t.Data()[static_cast<size_t>(i)];
-      float plus;
-      float minus;
-      {
-        NoGradGuard no_grad;
-        t.MutableData()[static_cast<size_t>(i)] = saved + eps;
-        plus = fn(inputs).Item();
-        t.MutableData()[static_cast<size_t>(i)] = saved - eps;
-        minus = fn(inputs).Item();
-        t.MutableData()[static_cast<size_t>(i)] = saved;
-      }
-      const float numeric = (plus - minus) / (2.0f * eps);
-      const float analytic = t.Grad()[static_cast<size_t>(i)];
-      EXPECT_NEAR(analytic, numeric, tol * std::max(1.0f, std::fabs(numeric)))
-          << "input " << which << " element " << i;
-    }
+TEST(ElementwiseChain, BitwiseStableAcrossThreadCounts) {
+  for (int64_t n : ChainSizes()) {
+    const auto serial = ChainForwardAndGrads(1, n);
+    ExpectBitwiseEq(ChainForwardAndGrads(4, n), serial,
+                    "4 threads n=" + std::to_string(n));
+    ExpectBitwiseEq(ChainForwardAndGrads(8, n), serial,
+                    "8 threads n=" + std::to_string(n));
   }
 }
 
-TEST(Fusion, GradcheckFusedChainsOverTailSizes) {
+TEST(ElementwiseChain, BitwiseEqualAcrossKernelSets) {
   SimdOverrideGuard guard;
-  SetFusionEnabledForTesting(1);
-  for (int64_t n : {int64_t{1}, int64_t{3}, int64_t{7}, int64_t{17},
-                    int64_t{63}}) {
-    Rng rng(static_cast<uint64_t>(40 + n));
-    // Values bounded away from the relu/abs kinks and div-by-zero.
-    Tensor a = Tensor::Rand({n}, rng, 0.3f, 1.4f, /*requires_grad=*/true);
-    Tensor b = Tensor::Rand({n}, rng, 0.6f, 1.8f, /*requires_grad=*/true);
-    ExpectGradMatchesNumeric(
-        [](const std::vector<Tensor>& in) {
-          Tensor z = Mul(in[0], in[1]);
-          z = AddScalar(z, 0.4f);
-          z = Sigmoid(z);
-          z = Div(z, in[1]);
-          z = Tanh(z);
-          return Sum(z);
-        },
-        {a, b});
-    ExpectGradMatchesNumeric(
-        [](const std::vector<Tensor>& in) {
-          Tensor z = Exp(MulScalar(in[0], 0.5f));
-          z = Log(z);
-          z = Sqrt(z);
-          z = Square(z);
-          z = Sub(z, in[1]);
-          return Sum(Square(z));
-        },
-        {a, b});
+  for (int64_t n : ChainSizes()) {
+    simd::SetKernelsForTesting(&simd::PortableKernels());
+    const auto portable = ChainForwardAndGrads(1, n);
+    simd::SetKernelsForTesting(nullptr);
+    const auto dispatched = ChainForwardAndGrads(1, n);
+    ExpectBitwiseEq(portable, dispatched,
+                    "kernel sets n=" + std::to_string(n));
   }
 }
 
@@ -634,13 +452,11 @@ TEST(SimdOps, ConvBitwiseAcrossKernelSets) {
   ExpectBitwiseEq(portable, dispatched, "conv2d fwd+bwd across kernel sets");
 }
 
-// Conv tiles and fused-chain backward strips large enough to split across
-// pool threads (each chunk leases its own tile scratch): bitwise equal to
-// the serial run.
+// Conv tiles and elementwise chunks large enough to split across pool
+// threads: bitwise equal to the serial run.
 std::vector<float> ParallelConvAndChain(int threads) {
   ThreadCountGuard thread_guard;
   exec::SetThreadCount(threads);
-  SetFusionEnabledForTesting(1);
   Rng rng(61);
   Tensor input =
       Tensor::Randn({96, 4, 8, 8}, rng, 1.0f, /*requires_grad=*/true);
@@ -657,7 +473,7 @@ std::vector<float> ParallelConvAndChain(int threads) {
   return out;
 }
 
-TEST(SimdOps, ConvTilesAndFusedStripsBitwiseAcrossThreadCounts) {
+TEST(SimdOps, ConvTilesAndElementwiseChunksBitwiseAcrossThreadCounts) {
   SimdOverrideGuard guard;
   const auto serial = ParallelConvAndChain(1);
   ExpectBitwiseEq(ParallelConvAndChain(4), serial, "4 threads vs serial");

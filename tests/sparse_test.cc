@@ -1,8 +1,9 @@
 // Tests for the sparse subsystem: COO/CSR layout round-trips and
 // validation, SpMM / gather autograd against the dense reference (exact
 // equality, per the bitwise-parity contract of docs/sparse.md), thread-count
-// invariance, the dataset's sparse storage mode, and dense-vs-sparse
-// training equivalence down to checkpoint bytes.
+// invariance, the dataset's sparse storage mode, dense-vs-sparse dataset
+// training equivalence, and the model's SpMM hypergraph propagation against
+// its masked-dense reference.
 
 #include <cstdlib>
 #include <fstream>
@@ -16,7 +17,6 @@
 #include "data/generator.h"
 #include "data/stats.h"
 #include "exec/exec.h"
-#include "nn/serialization.h"
 #include "sparse/sparse_tensor.h"
 #include "tensor/ops.h"
 #include "tensor/sparse_ops.h"
@@ -464,39 +464,77 @@ TEST(SparseTrainingTest, TrajectoryIdenticalAcrossDatasetStorageModes) {
   EXPECT_EQ(pred_dense.Data(), pred_sparse.Data());
 }
 
-// Dense/sparse dispatch parity at the hypergraph site, asserted down to
-// checkpoint bytes: the same sparse incidence pattern trained through the
-// CSR SpMM path and through the masked-dense GEMM path must produce
-// byte-identical checkpoints.
-TEST(SparseTrainingTest, SparseAndMaskedDensePathsProduceIdenticalCheckpoints) {
+// Eq. 4 propagation as SthslNet::HypergraphPropagate runs it for a sparse
+// incidence (CSR SpMM over the stored entries), held bitwise to the
+// masked-dense reference: dense GEMMs over the incidence times its 0/1
+// pattern mask, which leaves the forward values alone and blocks gradient
+// to the zero coordinates. Shapes are the model's: an (H, R*C) incidence
+// over (R*C, W*d) node features, H = 8 hyperedges on a 4x4 grid with 4
+// categories, W = 7, d = 4.
+TEST(SparseTrainingTest, SpmmPropagationMatchesMaskedDenseReference) {
+  const SthslConfig config = SparseTrainConfig();
+  const int64_t nodes = 4 * 4 * 4;
+  const int64_t features = config.train.window * config.dim;
+  const float slope = config.leaky_slope;
+  Rng rng(78);
+  std::vector<float> h_data =
+      RandomSparseData(rng, config.num_hyperedges * nodes, 0.2);
+  std::vector<float> mask(h_data.size());
+  for (size_t i = 0; i < h_data.size(); ++i) {
+    mask[i] = h_data[i] != 0.0f ? 1.0f : 0.0f;
+  }
+  const std::vector<float> e_data =
+      RandomSparseData(rng, nodes * features, 1.0);
+  const std::vector<int64_t> h_shape = {config.num_hyperedges, nodes};
+
+  Tensor h_sparse = Tensor::FromVector(h_shape, h_data, true);
+  Tensor e_sparse = Tensor::FromVector({nodes, features}, e_data, true);
+  SparseTensor csr = ToSparse(h_sparse).ToCsr();
+  Tensor values = SparseValues(h_sparse, csr);
+  Tensor to_edges = LeakyRelu(SpMM(csr, values, e_sparse), slope);
+  Tensor out_sparse =
+      LeakyRelu(SpMM(csr, values, to_edges, /*transpose_a=*/true), slope);
+
+  Tensor h_dense = Tensor::FromVector(h_shape, h_data, true);
+  Tensor e_dense = Tensor::FromVector({nodes, features}, e_data, true);
+  Tensor hm = Mul(h_dense, Tensor::FromVector(h_shape, mask));
+  Tensor out_dense = LeakyRelu(
+      MatMul(Transpose(hm, 0, 1), LeakyRelu(MatMul(hm, e_dense), slope)),
+      slope);
+
+  ASSERT_EQ(out_sparse.Shape(), (std::vector<int64_t>{nodes, features}));
+  EXPECT_EQ(out_sparse.Data(), out_dense.Data());
+  Tensor seed = Tensor::Rand({nodes, features}, rng, -1.0f, 1.0f);
+  out_sparse.Backward(seed);
+  out_dense.Backward(seed);
+  EXPECT_EQ(e_sparse.Grad(), e_dense.Grad());
+  const auto& gh = h_sparse.Grad();
+  const auto& gh_ref = h_dense.Grad();
+  ASSERT_EQ(gh.size(), gh_ref.size());
+  int64_t stored = 0;
+  for (size_t i = 0; i < gh.size(); ++i) {
+    if (h_data[i] != 0.0f) {
+      ++stored;
+      EXPECT_EQ(gh[i], gh_ref[i]) << "hypergraph grad mismatch at " << i;
+    } else {
+      EXPECT_EQ(gh[i], 0.0f) << "off-pattern grad leaked at " << i;
+    }
+  }
+  EXPECT_GT(stored, 0);
+}
+
+// Fixed-pattern contract end to end: an incidence trained through the SpMM
+// path keeps its dropped coordinates at exact zero.
+TEST(SparseTrainingTest, SpmmTrainedIncidenceKeepsItsZeros) {
   CrimeDataset data = SparseTestCity();
-  SthslConfig sparse_cfg = SparseTrainConfig();
-  sparse_cfg.hypergraph_density = 0.2f;
-  sparse_cfg.sparse_threshold = 1.0f;  // always take the SpMM path
-  SthslConfig masked_cfg = sparse_cfg;
-  masked_cfg.sparse_threshold = 0.0f;  // always take the masked-dense path
-
-  SthslForecaster sparse_model(sparse_cfg);
-  SthslForecaster masked_model(masked_cfg);
-  sparse_model.Fit(data, 50);
-  masked_model.Fit(data, 50);
-
-  ASSERT_TRUE(
-      SaveCheckpoint(*sparse_model.net(), "/tmp/sparse_path_ckpt.bin").ok());
-  ASSERT_TRUE(
-      SaveCheckpoint(*masked_model.net(), "/tmp/masked_path_ckpt.bin").ok());
-  const std::string sparse_bytes = ReadFileBytes("/tmp/sparse_path_ckpt.bin");
-  ASSERT_FALSE(sparse_bytes.empty());
-  EXPECT_EQ(sparse_bytes, ReadFileBytes("/tmp/masked_path_ckpt.bin"));
-
-  // Fixed-pattern contract: the zero coordinates never came back to life.
-  Tensor h = sparse_model.net()->hyperedge_weights();
+  SthslConfig config = SparseTrainConfig();
+  config.hypergraph_density = 0.2f;
+  SthslForecaster model(config);
+  model.Fit(data, 50);
+  Tensor h = model.net()->hyperedge_weights();
   int64_t zeros = 0;
   for (float v : h.Data()) zeros += v == 0.0f ? 1 : 0;
   EXPECT_GT(zeros, h.Numel() / 2);  // density 0.2 keeps most entries zero
-  // And the predictions agree bitwise as well.
-  EXPECT_EQ(sparse_model.PredictDay(data, 55).Data(),
-            masked_model.PredictDay(data, 55).Data());
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/exec.h"
-#include "tensor/fusion.h"
 #include "tensor/ops.h"
 #include "tensor/strided.h"
 #include "tensor/tensor.h"
@@ -178,14 +177,11 @@ std::string ShapeString(const Shape& s) {
   return out + ")";
 }
 
-// Restores the kernel thread count and fusion mode on scope exit.
+// Restores the kernel thread count on scope exit.
 class KernelConfigGuard {
  public:
   KernelConfigGuard() : threads_(exec::ThreadCount()) {}
-  ~KernelConfigGuard() {
-    exec::SetThreadCount(threads_);
-    SetFusionEnabledForTesting(-1);
-  }
+  ~KernelConfigGuard() { exec::SetThreadCount(threads_); }
 
  private:
   int threads_;
@@ -351,8 +347,6 @@ void CheckBinary(const BinaryCase& c, const Shape& sa, const Shape& sb,
 
 TEST(StridedParity, BroadcastBinaryForwardAndGradients) {
   KernelConfigGuard guard;
-  // Same-shape pairs only reach the eager kernel with fusion off.
-  SetFusionEnabledForTesting(0);
   Rng rng(3);
   const std::vector<std::pair<Shape, Shape>> pairs = {
       {{2, 3}, {3}},

@@ -8,6 +8,7 @@
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "util/obs/obs.h"
 #include "util/rng.h"
 
 namespace sthsl {
@@ -183,6 +184,12 @@ TEST(OpsReduce, MeanAlongNegativeDim) {
   Tensor m = Mean(a, {-1});
   EXPECT_EQ(m.At(static_cast<int64_t>(0)), 3.0f);
   EXPECT_EQ(m.At(1), 7.0f);
+}
+
+TEST(OpsReduce, MeanRejectsOutOfRangeDims) {
+  Tensor a = Tensor::FromVector({2, 2}, {2, 4, 6, 8});
+  EXPECT_DEATH(Mean(a, {2}), "Mean dim out of range");
+  EXPECT_DEATH(Mean(a, {-3}), "Mean dim out of range");
 }
 
 TEST(OpsReduce, MaxValues) {
@@ -401,6 +408,26 @@ TEST(OpsConv, Conv1dMovingSum) {
 }
 
 // -- Losses & misc -------------------------------------------------------------------
+
+// An elementwise op under NoGradGuard allocates its output and nothing
+// else: no second copy of the output is kept for a backward that cannot
+// run.
+TEST(OpsMemory, InferenceUnaryOpAllocatesOneOutputBuffer) {
+  const bool previous = obs::SetTraceEnabled(true);
+  obs::ResetProfiler();
+  Rng rng(21);
+  const int64_t n = int64_t{1} << 20;
+  Tensor a = Tensor::Randn({n}, rng);
+  const int64_t before = obs::PeakTensorBytes();
+  {
+    NoGradGuard no_grad;
+    Tensor s = Sigmoid(a);
+    EXPECT_EQ(obs::PeakTensorBytes() - before, n * 4);
+    EXPECT_EQ(s.Numel(), n);
+  }
+  obs::ResetProfiler();
+  obs::SetTraceEnabled(previous);
+}
 
 TEST(OpsLoss, MseAndSumOfSquares) {
   Tensor pred = Tensor::FromVector({2}, {1, 3});

@@ -12,7 +12,6 @@
 
 #include "nn/layers.h"
 #include "nn/serialization.h"
-#include "tensor/fusion.h"
 #include "tensor/ops.h"
 #include "tensor/optimizer.h"
 #include "tensor/tensor.h"
@@ -90,34 +89,6 @@ TEST(Views, GradientsThroughChainedViewsMatchCopies) {
   // Each view owns its gradient state; the leaf's buffer stayed untouched.
   EXPECT_TRUE(w.GradFn() != nullptr);
   EXPECT_EQ(x.Data(), xv);
-}
-
-TEST(Views, ReshapeOfPendingChainMaterializesOnce) {
-  TraceSandbox trace;
-  SetFusionEnabledForTesting(1);
-  Tensor a = Tensor::FromVector({2, 4}, {1, 2, 3, 4, 5, 6, 7, 8});
-  Tensor chain = AddScalar(MulScalar(a, 2.0f), 1.0f);
-  ASSERT_TRUE(chain.Impl()->pending != nullptr);
-
-  Tensor r = Reshape(chain, {8});
-  EXPECT_TRUE(chain.Impl()->pending == nullptr);
-  const auto materialized = obs::OpProfiles();
-  const obs::OpProfile* fused = FindOp(materialized, "fused_elemwise2");
-  ASSERT_NE(fused, nullptr);
-  const int64_t calls = fused->forward_calls;
-
-  // Reading the view and its source evaluates nothing further.
-  EXPECT_EQ(r.Data().data(), chain.Data().data());
-  EXPECT_EQ(r.At(7), 17.0f);
-  EXPECT_EQ(Reshape(chain, {4, 2}).At(0), 3.0f);
-  SetFusionEnabledForTesting(-1);
-
-  const auto ops = obs::OpProfiles();
-  EXPECT_EQ(FindOp(ops, "fused_elemwise2")->forward_calls, calls);
-  const obs::OpProfile* reshape = FindOp(ops, "reshape");
-  ASSERT_NE(reshape, nullptr);
-  EXPECT_EQ(reshape->forward_calls, 2);
-  EXPECT_EQ(reshape->bytes_touched, 0);
 }
 
 TEST(Views, ReshapeBackwardMovesNoBytes) {
