@@ -122,7 +122,6 @@ void BM_SthslInference(benchmark::State& state) {
   config.dim = 16;
   config.num_hyperedges = 32;
   SthslNet net(config, 8, 8, 4, 0.2f, 0.8f, rng);
-  net.SetTraining(false);
   Tensor window = Tensor::Rand({64, 14, 4}, rng, 0.0f, 3.0f);
   NoGradGuard no_grad;
   for (auto _ : state) {

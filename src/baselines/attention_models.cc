@@ -36,7 +36,7 @@ void GmanForecaster::BuildNet(const CrimeDataset& data, int64_t train_end) {
   net_ = std::make_shared<Net>(num_categories_, config_.hidden, rng_);
 }
 
-Tensor GmanForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor GmanForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   Tensor x = net_->embed.Forward(z);  // (R, W, F)
   // Temporal attention: regions are the batch, the window is the sequence.
   Tensor ht = net_->temporal_attn.Forward(x);
@@ -79,7 +79,7 @@ void StdnForecaster::BuildNet(const CrimeDataset& data, int64_t train_end) {
   net_ = std::make_shared<Net>(num_categories_, config_.hidden, rng_);
 }
 
-Tensor StdnForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor StdnForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   const int64_t w = z.Size(1);
   const int64_t f = config_.hidden;
   // Per-day local spatial convolution over the grid.
@@ -139,7 +139,7 @@ void StMetaNetForecaster::BuildNet(const CrimeDataset& data,
                                config_.node_embed, rng_);
 }
 
-Tensor StMetaNetForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor StMetaNetForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   const int64_t f = config_.hidden;
   Tensor x = net_->embed.Forward(z);  // (R, W, F)
   // Meta-generated FiLM parameters: each region gets its own modulation of
@@ -181,7 +181,7 @@ void DeepCrimeForecaster::BuildNet(const CrimeDataset& data,
   net_ = std::make_shared<Net>(num_categories_, config_.hidden, rng_);
 }
 
-Tensor DeepCrimeForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor DeepCrimeForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   const int64_t w = z.Size(1);
   Tensor x = net_->embed.Forward(z);           // category-aware embedding
   Tensor states = net_->gru.Forward(x);        // (R, W, F)
@@ -245,7 +245,7 @@ void SttransForecaster::BuildNet(const CrimeDataset& data,
                                train_config_.window, rng_);
 }
 
-Tensor SttransForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor SttransForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   const int64_t w = z.Size(1);
   Tensor x = Add(net_->embed.Forward(z), net_->position_embed);  // (R, W, F)
   // Two stacked temporal Transformer layers (attention + FFN + LayerNorm).
@@ -260,10 +260,10 @@ Tensor SttransForecaster::ForwardCore(const Tensor& z, bool training) {
   return net_->head.Forward(spatial);
 }
 
-Module* GmanForecaster::RootModule() { return net_.get(); }
-Module* StdnForecaster::RootModule() { return net_.get(); }
-Module* StMetaNetForecaster::RootModule() { return net_.get(); }
-Module* DeepCrimeForecaster::RootModule() { return net_.get(); }
-Module* SttransForecaster::RootModule() { return net_.get(); }
+Module* GmanForecaster::RootModule() const { return net_.get(); }
+Module* StdnForecaster::RootModule() const { return net_.get(); }
+Module* StMetaNetForecaster::RootModule() const { return net_.get(); }
+Module* DeepCrimeForecaster::RootModule() const { return net_.get(); }
+Module* SttransForecaster::RootModule() const { return net_.get(); }
 
 }  // namespace sthsl

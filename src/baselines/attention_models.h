@@ -18,8 +18,8 @@ class GmanForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;
@@ -36,8 +36,8 @@ class StdnForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;
@@ -54,8 +54,8 @@ class StMetaNetForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;
@@ -72,8 +72,8 @@ class DeepCrimeForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;
@@ -90,8 +90,8 @@ class SttransForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;

@@ -44,18 +44,20 @@ class DeepForecasterBase : public NeuralForecaster {
     BuildNet(data, train_end);
   }
 
-  Tensor Forward(const Tensor& window, bool training) final {
+  ForwardOutput Forward(const Tensor& window, int64_t day,
+                        bool /*training*/) const final {
     STHSL_TRACE_SCOPE("baseline/forward");
     Tensor z = (window - mean_) * (1.0f / stddev_);
-    Tensor out = ForwardCore(z, training);  // (R, C) in normalized space
-    return AddScalar(MulScalar(out, stddev_), mean_);
+    Tensor out = ForwardCore(z, day);  // (R, C) in normalized space
+    return {AddScalar(MulScalar(out, stddev_), mean_), {}};
   }
 
   /// Builds all modules; called once, after geometry/moments are known.
   virtual void BuildNet(const CrimeDataset& data, int64_t train_end) = 0;
 
-  /// Normalized window (R, W, C) -> normalized prediction (R, C).
-  virtual Tensor ForwardCore(const Tensor& z, bool training) = 0;
+  /// Normalized window (R, W, C) -> normalized prediction (R, C). `day` is
+  /// the predicted day's absolute index, or -1 when unknown.
+  virtual Tensor ForwardCore(const Tensor& z, int64_t day) const = 0;
 
   std::string name_;
   BaselineConfig config_;

@@ -29,7 +29,7 @@ void DcrnnForecaster::BuildNet(const CrimeDataset& data, int64_t train_end) {
                                GridAdjacency(rows_, cols_), rng_);
 }
 
-Tensor DcrnnForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor DcrnnForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   const int64_t w = z.Size(1);
   Tensor h = Tensor::Zeros({num_regions_, config_.hidden});
   for (int64_t t = 0; t < w; ++t) {
@@ -85,7 +85,7 @@ void StgcnForecaster::BuildNet(const CrimeDataset& data, int64_t train_end) {
                                GridAdjacency(rows_, cols_), rng_);
 }
 
-Tensor StgcnForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor StgcnForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   const int64_t f = config_.hidden;
   Tensor x = net_->embed.Forward(z);  // (R, W, F)
 
@@ -166,7 +166,7 @@ void GwnForecaster::BuildNet(const CrimeDataset& data, int64_t train_end) {
                                GridAdjacency(rows_, cols_), rng_);
 }
 
-Tensor GwnForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor GwnForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   Tensor adaptive = net_->AdaptiveAdjacency();
   Tensor x = net_->embed.Forward(z);  // (R, W, F)
   Tensor skip = Tensor();
@@ -218,7 +218,7 @@ void AgcrnForecaster::BuildNet(const CrimeDataset& data, int64_t train_end) {
                                config_.node_embed, rng_);
 }
 
-Tensor AgcrnForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor AgcrnForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   const int64_t w = z.Size(1);
   Tensor adaptive = net_->AdaptiveAdjacency();
   Tensor h = Tensor::Zeros({num_regions_, config_.hidden});
@@ -279,7 +279,7 @@ void MtgnnForecaster::BuildNet(const CrimeDataset& data, int64_t train_end) {
                                config_.node_embed, rng_);
 }
 
-Tensor MtgnnForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor MtgnnForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   Tensor adj = net_->LearnedAdjacency();
   Tensor x = net_->embed.Forward(z);  // (R, W, F)
 
@@ -345,8 +345,8 @@ void DmstgcnForecaster::BuildNet(const CrimeDataset& data,
                                config_.node_embed, rng_);
 }
 
-Tensor DmstgcnForecaster::ForwardCore(const Tensor& z, bool training) {
-  const int64_t dow = current_target_day_ >= 0 ? current_target_day_ % 7 : 0;
+Tensor DmstgcnForecaster::ForwardCore(const Tensor& z, int64_t day) const {
+  const int64_t dow = day >= 0 ? day % 7 : 0;
   Tensor adj = net_->DynamicAdjacency(dow);
   Tensor x = net_->embed.Forward(z);
   Tensor seq = Permute(x, {0, 2, 1});
@@ -355,11 +355,11 @@ Tensor DmstgcnForecaster::ForwardCore(const Tensor& z, bool training) {
   return net_->head.Forward(Mean(x, {1}));
 }
 
-Module* DcrnnForecaster::RootModule() { return net_.get(); }
-Module* StgcnForecaster::RootModule() { return net_.get(); }
-Module* GwnForecaster::RootModule() { return net_.get(); }
-Module* AgcrnForecaster::RootModule() { return net_.get(); }
-Module* MtgnnForecaster::RootModule() { return net_.get(); }
-Module* DmstgcnForecaster::RootModule() { return net_.get(); }
+Module* DcrnnForecaster::RootModule() const { return net_.get(); }
+Module* StgcnForecaster::RootModule() const { return net_.get(); }
+Module* GwnForecaster::RootModule() const { return net_.get(); }
+Module* AgcrnForecaster::RootModule() const { return net_.get(); }
+Module* MtgnnForecaster::RootModule() const { return net_.get(); }
+Module* DmstgcnForecaster::RootModule() const { return net_.get(); }
 
 }  // namespace sthsl

@@ -21,8 +21,8 @@ class DcrnnForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;
@@ -39,8 +39,8 @@ class StgcnForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;
@@ -57,8 +57,8 @@ class GwnForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;
@@ -75,8 +75,8 @@ class AgcrnForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;
@@ -93,8 +93,8 @@ class MtgnnForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;
@@ -111,8 +111,8 @@ class DmstgcnForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;

@@ -43,7 +43,7 @@ void StResNetForecaster::BuildNet(const CrimeDataset& data,
                                rng_);
 }
 
-Tensor StResNetForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor StResNetForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   const int64_t w = z.Size(1);
 
   // Facet images (1, C*k, I, J) cut from the window: the last `kCloseness`
@@ -78,6 +78,6 @@ Tensor StResNetForecaster::ForwardCore(const Tensor& z, bool training) {
   return Permute(Reshape(out, {num_categories_, num_regions_}), {1, 0});
 }
 
-Module* StResNetForecaster::RootModule() { return net_.get(); }
+Module* StResNetForecaster::RootModule() const { return net_.get(); }
 
 }  // namespace sthsl

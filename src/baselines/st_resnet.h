@@ -19,8 +19,8 @@ class StResNetForecaster : public DeepForecasterBase {
 
  protected:
   void BuildNet(const CrimeDataset& data, int64_t train_end) override;
-  Tensor ForwardCore(const Tensor& z, bool training) override;
-  Module* RootModule() override;
+  Tensor ForwardCore(const Tensor& z, int64_t day) const override;
+  Module* RootModule() const override;
 
  private:
   struct Net;

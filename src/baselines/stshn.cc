@@ -42,7 +42,7 @@ void StshnForecaster::BuildNet(const CrimeDataset& data, int64_t train_end) {
                                std::move(incidence), rng_);
 }
 
-Tensor StshnForecaster::ForwardCore(const Tensor& z, bool training) {
+Tensor StshnForecaster::ForwardCore(const Tensor& z, int64_t day) const {
   Tensor x = net_->embed.Forward(z);  // (R, W, F)
   // Temporal convolution encoder, then pool the window.
   Tensor seq = Permute(x, {0, 2, 1});
@@ -64,6 +64,6 @@ Tensor StshnForecaster::ForwardCore(const Tensor& z, bool training) {
   return net_->head.Forward(nodes);
 }
 
-Module* StshnForecaster::RootModule() { return net_.get(); }
+Module* StshnForecaster::RootModule() const { return net_.get(); }
 
 }  // namespace sthsl

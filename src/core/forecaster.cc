@@ -22,7 +22,7 @@ obs::RunLedgerEval ToLedgerEval(const std::string& name, const EvalResult& r) {
 }  // namespace
 
 std::vector<Tensor> Forecaster::PredictWindows(
-    const std::vector<Tensor>& windows) {
+    const std::vector<Tensor>& windows) const {
   STHSL_CHECK(false) << Name()
                      << " does not support raw-window prediction; only "
                         "models with SupportsWindowPredict() can serve";

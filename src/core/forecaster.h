@@ -34,14 +34,17 @@ class Forecaster {
   /// baselines that consume the full history cannot.
   virtual bool SupportsWindowPredict() const { return false; }
 
-  /// Batched raw-window inference entry point, used by the serving layer:
-  /// each element of `windows` is one (R, W, C) input window and the result
-  /// holds the matching (R, C) non-negative predictions, in order. One call
-  /// amortizes scheduling and dispatch over the whole micro-batch. The base
-  /// implementation aborts; models advertising SupportsWindowPredict()
-  /// override it.
+  /// Raw-window inference entry point, used by the serving layer: each
+  /// element of `windows` is one (R, W, C) input window and the result holds
+  /// the matching (R, C) non-negative predictions, in order. The windows run
+  /// one after another, each through its own forward pass, so a prediction
+  /// does not depend on the other windows of the call. The call writes no
+  /// model state: one loaded model may be called from several threads at
+  /// once (ServeLoopbackTest.ConcurrentRequestsAllAnswered checks that
+  /// concurrent answers equal serial ones bitwise). The base implementation
+  /// aborts; models advertising SupportsWindowPredict() override it.
   virtual std::vector<Tensor> PredictWindows(
-      const std::vector<Tensor>& windows);
+      const std::vector<Tensor>& windows) const;
 
   /// Wall-clock seconds of each completed training epoch (empty for
   /// non-iterative models). Used by the Table V efficiency study.

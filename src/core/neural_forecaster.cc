@@ -61,10 +61,6 @@ obs::RunLedgerHeader MakeLedgerHeader(const std::string& model,
 
 }  // namespace
 
-Tensor NeuralForecaster::Loss(const Tensor& pred, const Tensor& target) {
-  return MseLoss(pred, target);
-}
-
 void NeuralForecaster::Fit(const CrimeDataset& data, int64_t train_end) {
   STHSL_TRACE_SCOPE("train/fit");
   const int64_t window = train_config_.window;
@@ -77,7 +73,6 @@ void NeuralForecaster::Fit(const CrimeDataset& data, int64_t train_end) {
   optimizer_ = std::make_unique<Adam>(root->Parameters(), train_config_.lr,
                                       0.9f, 0.999f, 1e-8f,
                                       train_config_.weight_decay);
-  root->SetTraining(true);
 
   // Run ledger: the per-run path wins over the process default; when both
   // are empty the run is not ledgered and no statistics are collected.
@@ -153,15 +148,11 @@ void NeuralForecaster::Fit(const CrimeDataset& data, int64_t train_end) {
 
   auto validate = [&]() {
     STHSL_TRACE_SCOPE("train/validate");
-    NoGradGuard no_grad;
-    root->SetTraining(false);
     CrimeMetrics metrics(data.num_regions(), data.num_categories());
     for (int64_t t : validation_targets) {
-      current_target_day_ = t;
-      Tensor pred = Forward(data.WindowInput(t, window), /*training=*/false);
-      metrics.AddDay(ClampMin(pred, 0.0f), data.TargetDay(t));
+      metrics.AddDay(PredictClamped(data.WindowInput(t, window), t),
+                     data.TargetDay(t));
     }
-    root->SetTraining(true);
     const EvalResult overall = metrics.Overall();
     // Masked MAE matches the test metric; fall back to 0 when the span has
     // no positive entries (then any snapshot is as good as another).
@@ -203,10 +194,15 @@ void NeuralForecaster::Fit(const CrimeDataset& data, int64_t train_end) {
           const int64_t t = targets[static_cast<size_t>(cursor)];
           Tensor input = data.WindowInput(t, window);
           Tensor target = data.TargetDay(t);
-          current_target_day_ = t;
-          Tensor pred = Forward(input, /*training=*/true);
-          Tensor loss = MulScalar(Loss(pred, target),
-                                  1.0f / static_cast<float>(batch));
+          ForwardOutput out = Forward(input, t, /*training=*/true);
+          // Eq. 10 joint objective (weight decay is handled by the
+          // optimizer). The squared-error term is averaged over entries
+          // rather than summed so that the weights of the auxiliary terms
+          // are scale-free across city sizes (a normalization choice; the
+          // gradient direction is identical).
+          Tensor loss = MseLoss(out.prediction, target);
+          for (const Tensor& aux : out.aux_losses) loss = Add(loss, aux);
+          loss = MulScalar(loss, 1.0f / static_cast<float>(batch));
           loss.Backward();
           epoch_loss += loss.Item() * static_cast<double>(batch);
           ++accumulated;
@@ -383,39 +379,32 @@ void NeuralForecaster::Fit(const CrimeDataset& data, int64_t train_end) {
                          std::numeric_limits<double>::quiet_NaN());
     }
   }
-  root->SetTraining(false);
+}
+
+Tensor NeuralForecaster::PredictClamped(const Tensor& window,
+                                        int64_t day) const {
+  STHSL_CHECK(RootModule() != nullptr)
+      << Name() << ": network not materialized before inference";
+  NoGradGuard no_grad;
+  return ClampMin(Forward(window, day, /*training=*/false).prediction, 0.0f);
 }
 
 std::vector<Tensor> NeuralForecaster::PredictWindows(
-    const std::vector<Tensor>& windows) {
+    const std::vector<Tensor>& windows) const {
   STHSL_TRACE_SCOPE("infer/predict_windows");
-  Module* root = RootModule();
-  STHSL_CHECK(root != nullptr)
-      << Name() << ": network not materialized before PredictWindows";
-  root->SetTraining(false);
-  NoGradGuard no_grad;
   // Raw windows carry no calendar position; calendar-aware models fall back
   // to their day-agnostic path.
-  current_target_day_ = -1;
   std::vector<Tensor> predictions;
   predictions.reserve(windows.size());
   for (const Tensor& window : windows) {
-    predictions.push_back(ClampMin(Forward(window, /*training=*/false), 0.0f));
+    predictions.push_back(PredictClamped(window, /*day=*/-1));
   }
   return predictions;
 }
 
 Tensor NeuralForecaster::PredictDay(const CrimeDataset& data, int64_t t) {
   STHSL_TRACE_SCOPE("infer/predict_day");
-  Module* root = RootModule();
-  STHSL_CHECK(root != nullptr);
-  root->SetTraining(false);
-  NoGradGuard no_grad;
-  current_target_day_ = t;
-  Tensor input = data.WindowInput(t, train_config_.window);
-  Tensor pred = Forward(input, /*training=*/false);
-  // Crime counts are non-negative; clamp at zero for evaluation.
-  return ClampMin(pred, 0.0f);
+  return PredictClamped(data.WindowInput(t, train_config_.window), t);
 }
 
 }  // namespace sthsl

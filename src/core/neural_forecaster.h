@@ -73,35 +73,42 @@ class NeuralForecaster : public Forecaster {
   /// clamped at zero like PredictDay). The network must be materialized
   /// (Fit, or a bundle loader's explicit materialization) before calling.
   std::vector<Tensor> PredictWindows(
-      const std::vector<Tensor>& windows) override;
+      const std::vector<Tensor>& windows) const override;
   std::vector<double> EpochSeconds() const override { return epoch_seconds_; }
 
   const TrainConfig& train_config() const { return train_config_; }
 
  protected:
+  struct ForwardOutput {
+    Tensor prediction;  // (R, C) predicted counts
+    /// Weighted auxiliary terms that training adds, in order, to the
+    /// squared error (Eq. 10); empty unless `training`.
+    std::vector<Tensor> aux_losses;
+  };
+
   /// Called once before training with the full dataset (e.g. to capture
   /// Z-score moments and grid geometry). Default: no-op.
   virtual void Prepare(const CrimeDataset& data, int64_t train_end) {}
 
   /// Model forward pass: raw count window (R, W, C) -> predicted counts
-  /// (R, C). `training` toggles dropout and auxiliary-loss bookkeeping.
-  virtual Tensor Forward(const Tensor& window, bool training) = 0;
+  /// (R, C). `day` is the predicted day's absolute index (DMSTGCN reads the
+  /// day of week from it), or -1 for a raw window. `training` enables
+  /// dropout and the auxiliary losses. Writes no member state, so eval-mode
+  /// calls may run concurrently.
+  virtual ForwardOutput Forward(const Tensor& window, int64_t day,
+                                bool training) const = 0;
 
-  /// Training objective given forward output; default is the paper's sum of
-  /// squared errors (Eq. 10 first term). Subclasses add auxiliary terms.
-  virtual Tensor Loss(const Tensor& pred, const Tensor& target);
-
-  /// The module whose parameters are optimized.
-  virtual Module* RootModule() = 0;
+  /// The module whose parameters are optimized (null before it is built).
+  virtual Module* RootModule() const = 0;
 
   TrainConfig train_config_;
   Rng rng_;
-  /// Absolute day index of the target currently being predicted; set by the
-  /// training loop and PredictDay before each Forward call (models with
-  /// calendar-aware components, e.g. DMSTGCN, read the day-of-week from it).
-  int64_t current_target_day_ = -1;
 
  private:
+  /// Eval-mode, no-grad forward clamped at zero (counts are non-negative):
+  /// the one inference path of validation, PredictDay and PredictWindows.
+  Tensor PredictClamped(const Tensor& window, int64_t day) const;
+
   std::vector<double> epoch_seconds_;
   std::unique_ptr<Adam> optimizer_;
 };

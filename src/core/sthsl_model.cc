@@ -102,7 +102,7 @@ Tensor SthslNet::EmbedWindow(const Tensor& window) const {
 
 // Eq. 2-3: two spatial then two temporal convolution layers, each with
 // dropout, residual connection and LeakyReLU.
-Tensor SthslNet::LocalEncode(const Tensor& embeddings, bool training) {
+Tensor SthslNet::LocalEncode(const Tensor& embeddings, bool training) const {
   STHSL_TRACE_SCOPE("sthsl/local_encoder");
   const int64_t w = embeddings.Size(1);
   const int64_t d = config_.dim;
@@ -118,7 +118,7 @@ Tensor SthslNet::LocalEncode(const Tensor& embeddings, bool training) {
     }
     for (Conv2dLayer* conv : {spatial_conv1_.get(), spatial_conv2_.get()}) {
       Tensor y = conv->Forward(s);
-      s = LeakyRelu(Add(conv_dropout_->Forward(y), s), slope);
+      s = LeakyRelu(Add(conv_dropout_->Forward(y, training), s), slope);
     }
     if (!config_.use_category_conv) {
       s = Reshape(s, {w * d, num_categories_, grid_rows_, grid_cols_});
@@ -136,7 +136,7 @@ Tensor SthslNet::LocalEncode(const Tensor& embeddings, bool training) {
     }
     for (Conv1dLayer* conv : {temporal_conv1_.get(), temporal_conv2_.get()}) {
       Tensor y = conv->Forward(s);
-      s = LeakyRelu(Add(conv_dropout_->Forward(y), s), slope);
+      s = LeakyRelu(Add(conv_dropout_->Forward(y, training), s), slope);
     }
     if (!config_.use_category_conv) {
       s = Reshape(s, {num_regions_ * d, num_categories_, w});
@@ -179,7 +179,7 @@ Tensor SthslNet::HypergraphPropagate(const Tensor& embeddings) const {
 }
 
 // Eq. 5: stacked single-channel temporal convolutions on the global view.
-Tensor SthslNet::GlobalTemporal(const Tensor& gamma, bool training) {
+Tensor SthslNet::GlobalTemporal(const Tensor& gamma, bool training) const {
   STHSL_TRACE_SCOPE("sthsl/global_temporal");
   const int64_t w = gamma.Size(1);
   const int64_t d = config_.dim;
@@ -190,7 +190,8 @@ Tensor SthslNet::GlobalTemporal(const Tensor& gamma, bool training) {
   for (const auto& conv : global_temporal_convs_) {
     // Residual connection around each layer, as in Eq. 2-3: the deep
     // single-channel stack is otherwise lossy.
-    s = LeakyRelu(Add(conv_dropout_->Forward(conv->Forward(s)), s), slope);
+    s = LeakyRelu(
+        Add(conv_dropout_->Forward(conv->Forward(s), training), s), slope);
   }
   return Permute(
       Reshape(s, {num_regions_, num_categories_, d, w}), {0, 3, 1, 2});
@@ -253,7 +254,7 @@ Tensor SthslNet::ContrastiveLoss(const Tensor& local,
 
 // Eq. 9: temporal mean pooling followed by a linear read-out, then
 // de-normalization back to count space.
-Tensor SthslNet::Predict(const Tensor& local, const Tensor& global) {
+Tensor SthslNet::Predict(const Tensor& local, const Tensor& global) const {
   STHSL_TRACE_SCOPE("sthsl/predict_head");
   PredictionSource source = config_.prediction_source;
   if (!config_.use_hypergraph) source = PredictionSource::kLocal;
@@ -289,7 +290,7 @@ Tensor SthslNet::Predict(const Tensor& local, const Tensor& global) {
   return AddScalar(MulScalar(out, stddev_), mean_);
 }
 
-SthslNet::Output SthslNet::Forward(const Tensor& window, bool training) {
+SthslNet::Output SthslNet::Forward(const Tensor& window, bool training) const {
   STHSL_TRACE_SCOPE("sthsl/forward");
   Output output;
   Tensor embeddings = EmbedWindow(window);
@@ -332,7 +333,6 @@ void SthslForecaster::MaterializeForInference(int64_t rows, int64_t cols,
                                               float mean, float stddev) {
   net_ = std::make_unique<SthslNet>(config_, rows, cols, num_categories, mean,
                                     stddev, rng_);
-  net_->SetTraining(false);
 }
 
 void SthslForecaster::Prepare(const CrimeDataset& data, int64_t train_end) {
@@ -344,27 +344,21 @@ void SthslForecaster::Prepare(const CrimeDataset& data, int64_t train_end) {
                                     rng_);
 }
 
-Tensor SthslForecaster::Forward(const Tensor& window, bool training) {
+// Eq. 10's self-supervised terms, weighted; the training loop adds them to
+// the squared error (weight decay is handled by the optimizer).
+NeuralForecaster::ForwardOutput SthslForecaster::Forward(
+    const Tensor& window, int64_t /*day*/, bool training) const {
   STHSL_CHECK(net_ != nullptr) << "Fit must run before Forward";
   SthslNet::Output out = net_->Forward(window, training);
-  last_infomax_loss_ = out.infomax_loss;
-  last_contrastive_loss_ = out.contrastive_loss;
-  return out.prediction;
-}
-
-// Eq. 10 joint objective (weight decay is handled by the optimizer). The
-// squared-error term is averaged over entries rather than summed so that
-// the lambda weights of the self-supervised terms are scale-free across
-// city sizes (a normalization choice; the gradient direction is identical).
-Tensor SthslForecaster::Loss(const Tensor& pred, const Tensor& target) {
-  Tensor loss = MseLoss(pred, target);
-  if (last_infomax_loss_.Defined()) {
-    loss = Add(loss, MulScalar(last_infomax_loss_, config_.lambda1));
+  ForwardOutput result{out.prediction, {}};
+  if (out.infomax_loss.Defined()) {
+    result.aux_losses.push_back(MulScalar(out.infomax_loss, config_.lambda1));
   }
-  if (last_contrastive_loss_.Defined()) {
-    loss = Add(loss, MulScalar(last_contrastive_loss_, config_.lambda2));
+  if (out.contrastive_loss.Defined()) {
+    result.aux_losses.push_back(
+        MulScalar(out.contrastive_loss, config_.lambda2));
   }
-  return loss;
+  return result;
 }
 
 }  // namespace sthsl

@@ -79,7 +79,7 @@ class SthslNet : public Module {
 
   /// `window`: raw counts (R, W, C). `training` enables dropout and the
   /// computation of the self-supervised losses.
-  Output Forward(const Tensor& window, bool training);
+  Output Forward(const Tensor& window, bool training) const;
 
   /// Learned hyperedge-region dependency matrix (H, R*C); used by the
   /// Fig. 8 case study. Undefined when the hypergraph is ablated.
@@ -97,13 +97,13 @@ class SthslNet : public Module {
   int64_t num_categories() const { return num_categories_; }
 
  private:
-  Tensor EmbedWindow(const Tensor& window) const;               // Eq. 1
-  Tensor LocalEncode(const Tensor& embeddings, bool training);  // Eq. 2-3
-  Tensor HypergraphPropagate(const Tensor& embeddings) const;   // Eq. 4
-  Tensor GlobalTemporal(const Tensor& gamma, bool training);    // Eq. 5
+  Tensor EmbedWindow(const Tensor& window) const;                     // Eq. 1
+  Tensor LocalEncode(const Tensor& embeddings, bool training) const;  // Eq. 2-3
+  Tensor HypergraphPropagate(const Tensor& embeddings) const;         // Eq. 4
+  Tensor GlobalTemporal(const Tensor& gamma, bool training) const;    // Eq. 5
   Tensor InfomaxLoss(const Tensor& gamma, const Tensor& corrupt_gamma) const;
   Tensor ContrastiveLoss(const Tensor& local, const Tensor& global) const;
-  Tensor Predict(const Tensor& local, const Tensor& global);
+  Tensor Predict(const Tensor& local, const Tensor& global) const;
 
   SthslConfig config_;
   int64_t grid_rows_;
@@ -155,16 +155,14 @@ class SthslForecaster : public NeuralForecaster {
 
  protected:
   void Prepare(const CrimeDataset& data, int64_t train_end) override;
-  Tensor Forward(const Tensor& window, bool training) override;
-  Tensor Loss(const Tensor& pred, const Tensor& target) override;
-  Module* RootModule() override { return net_.get(); }
+  ForwardOutput Forward(const Tensor& window, int64_t day,
+                        bool training) const override;
+  Module* RootModule() const override { return net_.get(); }
 
  private:
   SthslConfig config_;
   std::string name_;
   std::unique_ptr<SthslNet> net_;
-  Tensor last_infomax_loss_;
-  Tensor last_contrastive_loss_;
 };
 
 }  // namespace sthsl

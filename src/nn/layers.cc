@@ -85,8 +85,8 @@ Tensor Conv1dLayer::Forward(const Tensor& x) const {
 
 // -- Dropout --------------------------------------------------------------------
 
-Tensor DropoutLayer::Forward(const Tensor& x) const {
-  return Dropout(x, p_, rng_, IsTraining());
+Tensor DropoutLayer::Forward(const Tensor& x, bool training) const {
+  return Dropout(x, p_, rng_, training);
 }
 
 // -- LayerNorm ------------------------------------------------------------------

@@ -61,12 +61,12 @@ class Conv1dLayer : public Module {
   int64_t pad_;
 };
 
-/// Dropout layer; active only in training mode.
+/// Dropout layer; the identity unless `training` is true.
 class DropoutLayer : public Module {
  public:
   DropoutLayer(float p, Rng& rng) : p_(p), rng_(rng.Fork()) {}
 
-  Tensor Forward(const Tensor& x) const;
+  Tensor Forward(const Tensor& x, bool training) const;
 
  private:
   float p_;

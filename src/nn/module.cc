@@ -40,11 +40,6 @@ std::vector<std::pair<std::string, Tensor>> Module::NamedParameters() const {
   return out;
 }
 
-void Module::SetTraining(bool training) {
-  training_ = training;
-  for (auto& [name, child] : children_) child->SetTraining(training);
-}
-
 int64_t Module::NumParameters() const {
   int64_t total = 0;
   for (const auto& p : Parameters()) total += p.Numel();

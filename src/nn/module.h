@@ -13,8 +13,7 @@ namespace sthsl {
 ///
 /// A Module owns trainable parameters and references child modules (which
 /// are data members of the derived class, registered by pointer). It
-/// provides recursive parameter collection for the optimizer and a
-/// train/eval flag consumed by dropout-style layers.
+/// provides recursive parameter collection for the optimizer.
 class Module {
  public:
   Module() = default;
@@ -36,11 +35,6 @@ class Module {
   /// and checkpoints).
   std::vector<std::pair<std::string, Tensor>> NamedParameters() const;
 
-  /// Switches this module and all children between training and evaluation
-  /// behaviour (affects dropout).
-  void SetTraining(bool training);
-  bool IsTraining() const { return training_; }
-
   /// Total number of scalar parameters (for the efficiency study).
   int64_t NumParameters() const;
 
@@ -55,7 +49,6 @@ class Module {
  private:
   std::vector<std::pair<std::string, Tensor>> params_;
   std::vector<std::pair<std::string, Module*>> children_;
-  bool training_ = true;
 };
 
 }  // namespace sthsl

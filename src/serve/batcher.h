@@ -19,8 +19,8 @@ namespace sthsl::serve {
 /// a fixed pool of worker threads drains them in batches. A forming batch
 /// is flushed when it reaches `max_batch_size`, when the oldest queued
 /// request has waited `max_wait_us`, or immediately during shutdown drain —
-/// so a lone request pays at most the wait bound while a burst is executed
-/// as one batched forward pass.
+/// so a lone request pays at most the wait bound while a burst is handed to
+/// the batch function in one call.
 class MicroBatcher {
  public:
   struct Config {
@@ -43,10 +43,13 @@ class MicroBatcher {
     int64_t drain_flushes = 0;    // flushed during Shutdown drain
   };
 
-  /// Executes one batch: receives the stacked input windows, returns one
+  /// Executes one batch: receives the batch's input windows, returns one
   /// prediction per input, in order. Must be callable from multiple worker
   /// threads concurrently and must not fail (callers validate inputs before
-  /// Submit).
+  /// Submit). The engine passes Forecaster::PredictWindows, which runs the
+  /// windows one after another and writes no model state, so every worker
+  /// calls the same loaded model (ServeLoopbackTest.
+  /// ConcurrentRequestsAllAnswered checks the answers bitwise).
   using BatchFn =
       std::function<std::vector<Tensor>(const std::vector<Tensor>&)>;
 

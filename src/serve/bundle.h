@@ -53,7 +53,7 @@ struct BundleManifest {
 };
 
 /// A bundle pulled back into memory: the manifest plus a materialized
-/// forecaster with the checkpoint weights loaded (eval mode).
+/// forecaster with the checkpoint weights loaded.
 struct LoadedBundle {
   BundleManifest manifest;
   std::unique_ptr<SthslForecaster> model;

@@ -17,7 +17,7 @@ InferenceEngine::InferenceEngine(LoadedBundle bundle, EngineConfig config)
   STHSL_CHECK(bundle_.model != nullptr) << "engine needs a loaded bundle";
   STHSL_CHECK(bundle_.model->SupportsWindowPredict())
       << bundle_.manifest.model << " cannot serve raw windows";
-  Forecaster* model = bundle_.model.get();
+  const Forecaster* model = bundle_.model.get();
   batcher_ = std::make_unique<MicroBatcher>(
       config.batcher, [model](const std::vector<Tensor>& windows) {
         auto& registry = obs::MetricsRegistry::Global();

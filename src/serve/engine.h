@@ -21,9 +21,9 @@ struct EngineConfig {
 
 /// The inference engine behind every endpoint: validates request windows
 /// against the bundle geometry, answers repeats from the sharded LRU cache,
-/// and funnels misses through the dynamic micro-batcher into batched
-/// Forecaster::PredictWindows calls. Publishes serve/* metrics into the
-/// process obs registry (see docs/serving.md).
+/// and funnels misses through the dynamic micro-batcher into one
+/// Forecaster::PredictWindows call per batch. Publishes serve/* metrics into
+/// the process obs registry (see docs/serving.md).
 class InferenceEngine {
  public:
   struct Prediction {

@@ -248,13 +248,14 @@ Status HttpServer::Start(const std::string& host, int port) {
   }
   port_ = ntohs(bound.sin_port);
   stopping_.store(false);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  // By value: Drain closes listen_fd_ only after joining the thread.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
   return Status::Ok();
 }
 
-void HttpServer::AcceptLoop() {
+void HttpServer::AcceptLoop(int listen_fd) {
   while (!stopping_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (stopping_.load()) break;
       if (errno == EINTR || errno == ECONNABORTED) continue;
@@ -364,13 +365,15 @@ void HttpServer::Drain() {
   if (stopping_.exchange(true)) {
     // A second drain still waits for the first to have joined everything.
   }
+  // shutdown() unblocks the accept() so the accept thread can exit. The
+  // descriptor is closed only after the join, so the thread never calls
+  // accept() on a number the process has since reused.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    // shutdown() unblocks the accept() so the accept thread can exit.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   // After the accept thread has exited no new connection threads appear.
   std::vector<std::thread> threads;
   {

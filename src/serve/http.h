@@ -101,7 +101,7 @@ class HttpServer {
   void Drain();
 
  private:
-  void AcceptLoop();
+  void AcceptLoop(int listen_fd);
   void HandleConnection(int fd);
 
   std::map<std::string, Handler> routes_;  // "METHOD path" → handler

@@ -25,7 +25,7 @@ enum class Stage {
   kCacheLookup,      // sharded LRU probe
   kQueueWait,        // submit → the micro-batcher dequeues the request
   kBatchAssembly,    // dequeue → batch handed to the model
-  kInference,        // batched forward pass
+  kInference,        // the batch's forward passes, one per window
   kSerialize,        // prediction → JSON response body
 };
 inline constexpr int kNumStages = 7;

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -192,6 +193,34 @@ TEST(RegistryTest, AllModelsFitAndPredict) {
       ASSERT_GE(v, 0.0f);
     }
   }
+}
+
+// DMSTGCN's day-of-week adjacency sees the calendar position of the
+// predicted day: PredictDay passes the day, a raw window passes none (-1),
+// which falls back to day-of-week 0. Days with t % 7 == 0 must therefore
+// match the raw-window path bitwise, and other days must not (the per-day
+// rows of the embedding are random).
+TEST(DmstgcnTest, PredictDayUsesTheDayOfWeek) {
+  CrimeDataset data = TinyCity(70);
+  ComparisonConfig config = MakeComparisonConfig(/*window=*/14, /*epochs=*/1,
+                                                 /*steps_per_epoch=*/2,
+                                                 /*seed=*/9);
+  config.baseline.hidden = 8;
+  auto model = MakeForecaster("DMSTGCN", config.baseline, config.sthsl);
+  model->Fit(data, 56);
+  int differing_days = 0;
+  for (int64_t t = 56; t < 70; ++t) {
+    SCOPED_TRACE(t);
+    const std::vector<float> by_day = model->PredictDay(data, t).Data();
+    const std::vector<float> by_window =
+        model->PredictWindows({data.WindowInput(t, 14)}).front().Data();
+    if (t % 7 == 0) {
+      EXPECT_EQ(by_day, by_window);
+    } else if (by_day != by_window) {
+      ++differing_days;
+    }
+  }
+  EXPECT_GT(differing_days, 0);
 }
 
 }  // namespace

@@ -34,15 +34,6 @@ TEST(ModuleBase, NamedParametersNested) {
   EXPECT_EQ(named[2].first, "hidden_proj.weight");
 }
 
-TEST(ModuleBase, TrainingFlagPropagates) {
-  Rng rng(3);
-  Gru gru(2, 4, rng);
-  gru.SetTraining(false);
-  EXPECT_FALSE(gru.IsTraining());
-  gru.SetTraining(true);
-  EXPECT_TRUE(gru.IsTraining());
-}
-
 TEST(LinearLayer, ForwardShapeAndValue) {
   Rng rng(4);
   Linear layer(2, 2, rng);
@@ -80,11 +71,9 @@ TEST(DropoutLayerTest, RespectsTrainingMode) {
   Rng rng(7);
   DropoutLayer drop(0.5f, rng);
   Tensor x = Tensor::Ones({256});
-  drop.SetTraining(false);
-  Tensor eval_out = drop.Forward(x);
+  Tensor eval_out = drop.Forward(x, /*training=*/false);
   for (float v : eval_out.Data()) EXPECT_EQ(v, 1.0f);
-  drop.SetTraining(true);
-  Tensor train_out = drop.Forward(x);
+  Tensor train_out = drop.Forward(x, /*training=*/true);
   int zeros = 0;
   for (float v : train_out.Data()) zeros += (v == 0.0f);
   EXPECT_GT(zeros, 0);

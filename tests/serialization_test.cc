@@ -66,8 +66,6 @@ TEST(SerializationTest, SthslNetRoundTripPreservesPredictions) {
   Rng data_rng(6);
   Tensor window = Tensor::Rand({9, 7, 2}, data_rng, 0.0f, 2.0f);
   NoGradGuard no_grad;
-  original.SetTraining(false);
-  restored.SetTraining(false);
   EXPECT_EQ(original.Forward(window, false).prediction.Data(),
             restored.Forward(window, false).prediction.Data());
   std::remove(kPath);

@@ -630,7 +630,7 @@ TEST(ServeLoopbackTest, EndToEndMatchesDirectPredictBitwise) {
   }
   body += "]}";
 
-  // Cold request: batched forward path, cache miss.
+  // Cold request: cache miss, answered through the batcher.
   int status = 0;
   std::string cold =
       HttpRoundTrip(server.port(), RenderPost("/v1/predict", body), &status);
@@ -818,9 +818,13 @@ TEST(ServeLoopbackTest, TraceparentRoundTripAndAccessLogExactlyOnce) {
   std::remove(log_path.c_str());
 }
 
+// Eight clients share one loaded model through the batcher's two workers;
+// every answer must equal, bitwise, a serial PredictWindows call on an
+// independent load of the same bundle.
 TEST(ServeLoopbackTest, ConcurrentRequestsAllAnswered) {
   TempDir dir;
   LoadedBundle bundle = TrainAndRoundTripBundle(dir.path);
+  LoadedBundle direct = LoadBundle(dir.path).value();  // independent instance
   EngineConfig config;
   config.batcher.max_batch_size = 4;
   config.batcher.max_wait_us = 1000;
@@ -832,22 +836,38 @@ TEST(ServeLoopbackTest, ConcurrentRequestsAllAnswered) {
   int64_t numel = 1;
   for (int64_t extent : shape) numel *= extent;
 
+  constexpr int kClients = 8;
+  std::vector<Tensor> windows;
+  std::vector<std::vector<float>> expected;
+  for (int t = 0; t < kClients; ++t) {
+    std::vector<float> values(static_cast<size_t>(numel));
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] = static_cast<float>((i * static_cast<size_t>(t + 1)) % 5);
+    }
+    windows.push_back(Tensor::FromVector(shape, std::move(values)));
+    expected.push_back(
+        direct.model->PredictWindows({windows.back()}).front().Data());
+  }
+
   std::vector<std::thread> clients;
   std::atomic<int> failures{0};
-  for (int t = 0; t < 8; ++t) {
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
-      std::vector<float> window(static_cast<size_t>(numel),
-                                static_cast<float>(t % 3));
       for (int i = 0; i < 4; ++i) {
-        auto result = engine.Predict(Tensor::FromVector(shape, window));
+        auto result = engine.Predict(windows[static_cast<size_t>(t)]);
         if (!result.ok() || !result.value().values.Defined()) {
           failures.fetch_add(1);
+        } else if (result.value().values.Data() !=
+                   expected[static_cast<size_t>(t)]) {
+          mismatches.fetch_add(1);
         }
       }
     });
   }
   for (std::thread& client : clients) client.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
   const MicroBatcher::Stats stats = engine.batcher_stats();
   EXPECT_EQ(stats.requests, 32);
   EXPECT_GT(stats.batches, 0);

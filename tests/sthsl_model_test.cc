@@ -60,7 +60,6 @@ TEST(SthslNetTest, ForwardShapesAndLosses) {
 TEST(SthslNetTest, EvalModeSkipsAuxLosses) {
   Rng rng(2);
   SthslNet net(TinyConfig(), 4, 4, 4, 0.2f, 0.5f, rng);
-  net.SetTraining(false);
   Tensor window = Tensor::Rand({16, 7, 4}, rng, 0.0f, 3.0f);
   SthslNet::Output out = net.Forward(window, /*training=*/false);
   EXPECT_FALSE(out.infomax_loss.Defined());

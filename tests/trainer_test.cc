@@ -27,10 +27,11 @@ class TinyForecaster : public NeuralForecaster {
   void Prepare(const CrimeDataset& data, int64_t train_end) override {
     net_ = std::make_unique<Net>(data.num_categories(), rng_);
   }
-  Tensor Forward(const Tensor& window, bool training) override {
-    return net_->head.Forward(Mean(window, {1}));
+  ForwardOutput Forward(const Tensor& window, int64_t day,
+                        bool training) const override {
+    return {net_->head.Forward(Mean(window, {1})), {}};
   }
-  Module* RootModule() override { return net_.get(); }
+  Module* RootModule() const override { return net_.get(); }
 
  private:
   struct Net : Module {
